@@ -21,6 +21,8 @@ from typing import Callable, Iterable, Optional
 
 from .engine import Engine
 from .syntax import (
+    And,
+    Atom,
     Formula,
     Sequent,
     formula_key,
@@ -28,6 +30,7 @@ from .syntax import (
     print_sequent,
     sequent_family,
     sequent_weight,
+    subformulas,
 )
 
 NOT_ADMISSIBLE = "NotAdmissible"
@@ -104,22 +107,12 @@ class AdmissibilityVerdict:
 
 def describe_universe(universe: Iterable[Formula], weight_cap: int) -> str:
     pool = sorted(set(universe), key=formula_key)
-    atoms = sorted({a for f in pool for a in _atom_names(f)})
+    atoms = sorted({g.name for f in pool for g in subformulas(f) if isinstance(g, Atom)})
     maxw = max((formula_key(f)[0] for f in pool), default=0)
     return (
         f"atoms={{{','.join(atoms)}}} formulas={len(pool)} "
         f"formula_weight<={maxw} sequent_weight<={weight_cap}"
     )
-
-
-def _atom_names(f: Formula) -> set[str]:
-    from .syntax import Atom, Neg
-
-    if isinstance(f, Atom):
-        return {f.name}
-    if isinstance(f, Neg):
-        return _atom_names(f.sub)
-    return _atom_names(f.left) | _atom_names(f.right)
 
 
 def test_admissibility(
@@ -203,8 +196,6 @@ class TopEquivalenceReport:
                 "min_height": v[1],
             }
 
-        from .syntax import And
-
         return {
             "delta": print_formula(self.delta),
             "top": print_formula(self.top),
@@ -235,8 +226,6 @@ def top_equivalence_study(
     third query top, delta |- delta, whose status shows whether prefixing
     the theorem as a separate set member preserves derivability.
     """
-    from .syntax import And
-
     eng = engine or Engine(mode)
     if eng.min_height(Sequent((), top)) is None:
         raise ValueError(f"{print_formula(top)} is not a theorem (|- {print_formula(top)} is underivable)")

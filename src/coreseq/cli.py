@@ -17,6 +17,8 @@ The environment variable CORESEQ_MEMO_CAP overrides the search cap.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -414,19 +416,10 @@ def _cmd_atlas(args) -> int:
         )
 
     try:
-        if args.workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                rows = list(pool.map(row, family))
-        else:
-            rows = [row(s) for s in family]
+        rows = [row(s) for s in family]
     except ResourceLimitError as e:
         _say(f"coreseq: resource limit, no output written: {e}")
         return 2
-
-    import csv
-    import io
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -482,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-cap", type=int, required=True)
     p.add_argument("--out")
     p.add_argument("--mode", choices=("tennant", "strict-table"), default="tennant")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_atlas)
 
     return parser

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
@@ -108,7 +107,6 @@ class _FormulaTable:
 
     def __init__(self):
         self.by_formula: dict[Formula, int] = {}
-        self.by_node: dict[tuple, int] = {}
         self.obj: list[Formula] = []
         self.kind: list[int] = []
         self.left: list[int] = []
@@ -130,16 +128,13 @@ class _FormulaTable:
             node = (_KOR, self.intern(f.left), self.intern(f.right))
         else:
             node = (_KIMP, self.intern(f.left), self.intern(f.right))
-        i = self.by_node.get(node)
-        if i is None:
-            i = len(self.obj)
-            self.by_node[node] = i
-            self.obj.append(f)
-            self.kind.append(node[0])
-            self.left.append(node[1] if node[0] != _KATOM else -1)
-            self.right.append(node[2])
-            self.fweight.append(weight(f))
-            self.rank.append((-weight(f), print_formula(f)))
+        i = len(self.obj)
+        self.obj.append(f)
+        self.kind.append(node[0])
+        self.left.append(node[1] if node[0] != _KATOM else -1)
+        self.right.append(node[2])
+        self.fweight.append(weight(f))
+        self.rank.append((-weight(f), print_formula(f)))
         self.by_formula[f] = i
         return i
 
@@ -165,8 +160,7 @@ class Engine:
 
     Verdicts and minimal heights persist across queries; they are pure
     facts about sequents, so sharing the table never changes results.
-    Thread-safe: the table behaves as a single logical map with
-    get-or-compute semantics.
+    Not thread-safe: one instance serves one thread, and its caller owns it.
     """
 
     def __init__(self, mode: str = "tennant", memo_cap: int = DEFAULT_MEMO_CAP):
@@ -176,27 +170,24 @@ class Engine:
         self.memo_cap = memo_cap
         self._t = _FormulaTable()
         self._heights: dict[tuple, Optional[int]] = {}
-        self._lock = threading.RLock()
 
     # -- public API --
 
     def decide(self, goal: Sequent) -> DecisionResult:
-        with self._lock:
-            g = self._intern_goal(goal)
-            stats = self._solve(g)
-            h = self._heights[g]
-            if h is None:
-                return Unprovable(stats)
-            return Provable(self._extract(g), h, stats)
+        g = self._intern_goal(goal)
+        stats = self._solve(g)
+        h = self._heights[g]
+        if h is None:
+            return Unprovable(stats)
+        return Provable(self._extract(g), h, stats)
 
     def is_provable(self, goal: Sequent) -> bool:
         return self.min_height(goal) is not None
 
     def min_height(self, goal: Sequent) -> Optional[int]:
-        with self._lock:
-            g = self._intern_goal(goal)
-            self._solve(g)
-            return self._heights[g]
+        g = self._intern_goal(goal)
+        self._solve(g)
+        return self._heights[g]
 
     # -- representation --
 
@@ -425,18 +416,14 @@ class Engine:
         )
 
 
-_enum_engines: dict[str, Engine] = {}
-
-
 def backward_instances(goal: Sequent, mode: str = "tennant") -> list[tuple[str, tuple[Sequent, ...]]]:
     """Every rule instance concluding `goal`, as (rule, premises) pairs."""
-    eng = _enum_engines.setdefault(mode, Engine(mode))
-    with eng._lock:
-        g = eng._intern_goal(goal)
-        return [
-            (RULE_NAMES[rule], tuple(eng._goal_sequent(p) for p in prems))
-            for rule, prems in eng._instances(g)
-        ]
+    eng = Engine(mode)
+    g = eng._intern_goal(goal)
+    return [
+        (RULE_NAMES[rule], tuple(eng._goal_sequent(p) for p in prems))
+        for rule, prems in eng._instances(g)
+    ]
 
 
 def decide(goal: Sequent, mode: str = "tennant", memo_cap: int = DEFAULT_MEMO_CAP) -> DecisionResult:

@@ -15,8 +15,6 @@ intuitionistic verdicts over a bounded sequent family.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Iterable, Optional
@@ -33,6 +31,7 @@ from .syntax import (
     print_formula,
     print_sequent,
     sequent_family,
+    subformulas,
 )
 
 # ---------------------------------------------------------------------------
@@ -43,7 +42,8 @@ class IntProver:
     """Decision procedure for propositional intuitionistic derivability.
 
     Formulas are interned to integer ids; antecedents are sorted id
-    multisets.  Verdicts are memoized and shared across queries.
+    multisets.  Verdicts are memoized and shared across queries.  Not
+    thread-safe: one instance serves one thread, and its caller owns it.
     """
 
     def __init__(self):
@@ -53,7 +53,6 @@ class IntProver:
         self._right: list = []
         self._formula_ids: dict[Formula, int] = {}
         self._memo: dict[tuple, bool] = {}
-        self._lock = threading.RLock()
         self._bot = self._node(("bot", None, None))
 
     def _node(self, key: tuple) -> int:
@@ -84,10 +83,9 @@ class IntProver:
         return i
 
     def decide(self, s: Sequent) -> bool:
-        with self._lock:
-            ants = tuple(sorted(self._translate(f) for f in s.antecedent))
-            goal = self._bot if s.succedent is None else self._translate(s.succedent)
-            return self._prove(ants, goal)
+        ants = tuple(sorted(self._translate(f) for f in s.antecedent))
+        goal = self._bot if s.succedent is None else self._translate(s.succedent)
+        return self._prove(ants, goal)
 
     def _prove(self, ants: tuple[int, ...], goal: int) -> bool:
         key = (ants, goal)
@@ -166,12 +164,9 @@ class IntProver:
         return False
 
 
-_default_prover = IntProver()
-
-
 def decide_int(s: Sequent, prover: Optional[IntProver] = None) -> bool:
     """True iff the sequent is intuitionistically derivable."""
-    return (prover or _default_prover).decide(s)
+    return (prover or IntProver()).decide(s)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +260,8 @@ def countermodel(s: Sequent, max_worlds: int) -> Optional[KripkeModel]:
     succedent; None when no model up to the bound exists."""
     if max_worlds > 5:
         raise ValueError("countermodel search is bounded at 5 worlds")
-    atoms = sorted(
-        {a.name for f in s.antecedent for a in _atoms_of(f)}
-        | ({a.name for a in _atoms_of(s.succedent)} if s.succedent is not None else set())
-    )
+    formulas = s.antecedent if s.succedent is None else s.antecedent + (s.succedent,)
+    atoms = sorted({g.name for f in formulas for g in subformulas(f) if isinstance(g, Atom)})
     for k in range(1, max_worlds + 1):
         for order in _rooted_posets(k):
             upsets = _upsets(k, order)
@@ -292,14 +285,6 @@ def _assignments(atoms: list[str], upsets: list[frozenset[int]]):
     for u in upsets:
         for tail in _assignments(rest, upsets):
             yield {first: u, **tail}
-
-
-def _atoms_of(f: Formula) -> set[Atom]:
-    if isinstance(f, Atom):
-        return {f}
-    if isinstance(f, Neg):
-        return _atoms_of(f.sub)
-    return _atoms_of(f.left) | _atoms_of(f.right)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +323,6 @@ def cross_check(
     universe: Iterable[Formula],
     weight_cap: int,
     mode: str = "tennant",
-    workers: int = 1,
     engine: Optional[Engine] = None,
     prover: Optional[IntProver] = None,
 ) -> CrossCheckReport:
@@ -350,19 +334,9 @@ def cross_check(
     sequents are additionally held to exact agreement.
     """
     eng = engine or Engine(mode)
-    prv = prover or _default_prover
+    prv = prover or IntProver()
     family = sequent_family(universe, weight_cap)
-
-    def verdicts(s: Sequent) -> tuple[bool, bool]:
-        return (eng.is_provable(s), prv.decide(s))
-
-    if workers <= 1:
-        results = [verdicts(s) for s in family]
-    else:
-        # map preserves input order, so the report is independent of the
-        # thread interleaving
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(verdicts, family))
+    results = [(eng.is_provable(s), prv.decide(s)) for s in family]
 
     report = CrossCheckReport(
         universe_size=len(set(universe)),
@@ -420,7 +394,7 @@ def theoremhood_report(
     """
     names = tuple(sorted(set(atoms)))
     eng = engine or Engine(mode)
-    prv = prover or _default_prover
+    prv = prover or IntProver()
     pool = formula_universe(names, max_weight)
     report = TheoremhoodReport(names, max_weight, mode, len(pool), 0, 0)
     for f in pool:

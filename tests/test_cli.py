@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from coreseq import fixture_path, load_derivation, parse_sequent
 from coreseq.cli import main
 
@@ -181,8 +183,14 @@ def test_atlas_contains_divergence_row(capsys, tmp_path):
 def test_atlas_deterministic_row_counts(capsys, tmp_path):
     t1, t2 = tmp_path / "a1.csv", tmp_path / "a2.csv"
     run(capsys, "atlas", "--atoms", "2", "--weight-cap", "4", "--out", str(t1))
-    run(capsys, "atlas", "--atoms", "2", "--weight-cap", "4", "--out", str(t2), "--workers", "3")
+    run(capsys, "atlas", "--atoms", "2", "--weight-cap", "4", "--out", str(t2))
     assert t1.read_bytes() == t2.read_bytes()
+
+
+def test_atlas_rejects_workers_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["atlas", "--atoms", "2", "--weight-cap", "4", "--workers", "2"])
+    assert exc.value.code == 2
 
 
 def test_atlas_rejects_bad_atom_count(capsys):

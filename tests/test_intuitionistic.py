@@ -5,6 +5,8 @@ import pytest
 
 from conftest import random_formula
 from coreseq import (
+    Engine,
+    IntProver,
     KripkeModel,
     Sequent,
     countermodel,
@@ -166,10 +168,12 @@ def test_cross_check_small_family():
     assert report.core_provable < report.int_provable
 
 
-def test_cross_check_worker_determinism():
-    r1 = cross_check(_universe(), 5, workers=1)
-    r4 = cross_check(_universe(), 5, workers=4)
-    assert json.dumps(r1.to_json(), sort_keys=True) == json.dumps(r4.to_json(), sort_keys=True)
+def test_cross_check_independent_of_history():
+    fresh = cross_check(_universe(), 5, engine=Engine(), prover=IntProver())
+    engine, prover = Engine(), IntProver()
+    cross_check(_universe(), 6, engine=engine, prover=prover)
+    warm = cross_check(_universe(), 5, engine=engine, prover=prover)
+    assert json.dumps(fresh.to_json(), sort_keys=True) == json.dumps(warm.to_json(), sort_keys=True)
 
 
 def test_cross_check_tiny_universe_has_no_divergence():
