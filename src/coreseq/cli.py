@@ -93,7 +93,10 @@ def _decision_json(result) -> dict:
             "derivation": derivation_to_json(result.derivation),
             "stats": _stats_json(result.stats),
         }
-    return {"status": "unprovable", "stats": _stats_json(result.certificate)}
+    out = {"status": "unprovable", "stats": _stats_json(result.certificate)}
+    if result.countervaluation is not None:
+        out["countervaluation"] = dict(result.countervaluation)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +138,14 @@ def _cmd_decide(args) -> int:
             _say(f"derivation written to {args.emit_derivation}")
         _say(f"{print_sequent(goal)}: provable, minimal height {result.min_height}")
         return 0
-    _say(f"{print_sequent(goal)}: unprovable (exhausted {result.certificate.distinct_goals} goals)")
+    cv = result.countervaluation
+    if cv is None:
+        why = f"exhausted {result.certificate.distinct_goals} goals"
+    else:
+        why = "classically invalid: " + ", ".join(
+            f"{name} = {str(value).lower()}" for name, value in cv
+        )
+    _say(f"{print_sequent(goal)}: unprovable ({why})")
     return 1
 
 
@@ -486,6 +496,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as e:
         _say(f"coreseq: parse error: {e}")
+        return 2
+    except RecursionError:
+        _say("coreseq: input nested too deeply")
+        if getattr(args, "json", False):
+            sys.stdout.write(_dump({"status": "error", "error": "input nested too deeply"}))
         return 2
 
 

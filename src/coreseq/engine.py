@@ -14,6 +14,27 @@ goal left unsettled when the space is exhausted is certainly underivable.
 Internally the engine interns formulas to integers and works on sorted id
 tuples; the public surface speaks `Sequent` and `Derivation`.
 
+Classical filter.  Each interned formula carries its classical truth
+table: an int with one bit per valuation of the engine's atoms, built from
+its children's tables when it is interned and widened in place when a new
+atom arrives.  A goal is classically valid when no row satisfies every
+antecedent formula and falsifies the succedent (for the absurdity marker:
+when no row satisfies the antecedent).  Every rule is classically sound
+under the set semantics, read rule by rule: Ax is trivial; RNeg, RImpA and
+RImpB discharge a hypothesis, and ROr weakens the succedent; LNeg, LAnd,
+LImp and RAnd combine premises whose antecedents the conclusion contains
+(in LNeg, ~A with anything that entails A is unsatisfiable); LOr splits on
+the disjunct, where a premise with the absurdity marker says its case is
+impossible.  Retaining the principal formula only adds a hypothesis the
+conclusion already has.  So every derivable goal is classically valid, a
+classically invalid goal is settled underivable without being explored,
+and an instance with such a premise is dead.  The filter leans only on
+Core being contained in classical logic, never on an intuitionistic fact,
+so the comparisons against the intuitionistic oracle stay non-circular.
+Above TABLE_ATOM_CEILING atoms the tables would be too wide to pay off and
+the filter is switched off; verdicts, minimal heights and derivations are
+the same either way, because a pruned goal was never derivable.
+
 The forward closure at the bottom of the module is an independent oracle:
 it saturates the sequent space over a fixed formula universe by applying
 the rules forwards, and must agree with the backward engine on every
@@ -47,6 +68,10 @@ from .syntax import (
 )
 
 DEFAULT_MEMO_CAP = 10_000_000
+
+# Truth tables are 2**atoms bits wide; past this many atoms the classical
+# filter is off.
+TABLE_ATOM_CEILING = 16
 
 _ABSURD = -1
 
@@ -93,6 +118,11 @@ class Provable:
 @dataclass(frozen=True)
 class Unprovable:
     certificate: SearchStats
+    # (atom name, truth value) pairs sorted by name, set when the goal is
+    # classically invalid: the valuation satisfies the antecedent and
+    # falsifies the succedent (or, for the absurdity marker, just
+    # satisfies the antecedent)
+    countervaluation: Optional[tuple[tuple[str, bool], ...]] = None
 
     @property
     def is_provable(self) -> bool:
@@ -103,7 +133,13 @@ DecisionResult = Union[Provable, Unprovable]
 
 
 class _FormulaTable:
-    """Structural interner: formulas as integer ids with child-id tables."""
+    """Structural interner: formulas as integer ids with child-id tables.
+
+    `truth[i]` is formula i's truth table: bit v is its value under the
+    valuation that makes atom k true exactly when bit k of v is set, atoms
+    numbered in `atoms` order.  `full` has a bit for every valuation; past
+    TABLE_ATOM_CEILING atoms it and every table are 0.
+    """
 
     def __init__(self):
         self.by_formula: dict[Formula, int] = {}
@@ -113,30 +149,64 @@ class _FormulaTable:
         self.right: list[int] = []
         self.fweight: list[int] = []
         self.rank: list[tuple[int, str]] = []
+        self.truth: list[int] = []
+        self.atoms: list[int] = []
+        self.full = 1
 
     def intern(self, f: Formula) -> int:
         i = self.by_formula.get(f)
         if i is not None:
             return i
+        truth = self.truth
         if isinstance(f, Atom):
-            node = (_KATOM, f.name, -1)
+            node = (_KATOM, -1, -1)
+            table = self._new_atom()
         elif isinstance(f, Neg):
             node = (_KNEG, self.intern(f.sub), -1)
-        elif isinstance(f, And):
-            node = (_KAND, self.intern(f.left), self.intern(f.right))
-        elif isinstance(f, Or):
-            node = (_KOR, self.intern(f.left), self.intern(f.right))
+            table = self.full ^ truth[node[1]]
         else:
-            node = (_KIMP, self.intern(f.left), self.intern(f.right))
+            a, b = self.intern(f.left), self.intern(f.right)
+            if isinstance(f, And):
+                node = (_KAND, a, b)
+                table = truth[a] & truth[b]
+            elif isinstance(f, Or):
+                node = (_KOR, a, b)
+                table = truth[a] | truth[b]
+            else:
+                node = (_KIMP, a, b)
+                table = (self.full ^ truth[a]) | truth[b]
         i = len(self.obj)
         self.obj.append(f)
         self.kind.append(node[0])
-        self.left.append(node[1] if node[0] != _KATOM else -1)
+        self.left.append(node[1])
         self.right.append(node[2])
         self.fweight.append(weight(f))
         self.rank.append((-weight(f), print_formula(f)))
+        truth.append(table)
+        if node[0] == _KATOM:
+            self.atoms.append(i)
         self.by_formula[f] = i
         return i
+
+    def _new_atom(self) -> int:
+        """Widen every table for one more atom and return the atom's table.
+
+        An old formula does not mention the new atom, so its value on each
+        new row equals its value on the matching old row.
+        """
+        k = len(self.atoms)
+        if k >= TABLE_ATOM_CEILING:
+            if self.full:
+                self.full = 0
+                self.truth[:] = [0] * len(self.truth)
+            return 0
+        shift = 1 << k
+        truth = self.truth
+        for i, t in enumerate(truth):
+            truth[i] = t | t << shift
+        old = self.full
+        self.full = old | old << shift
+        return old << shift
 
 
 def _remove(ants: tuple[int, ...], x: int) -> tuple[int, ...]:
@@ -160,6 +230,8 @@ class Engine:
 
     Verdicts and minimal heights persist across queries; they are pure
     facts about sequents, so sharing the table never changes results.
+    `memo_cap` bounds the goals one query explores, not the table, so it
+    does not depend on earlier queries either.
     Not thread-safe: one instance serves one thread, and its caller owns it.
     """
 
@@ -178,7 +250,7 @@ class Engine:
         stats = self._solve(g)
         h = self._heights[g]
         if h is None:
-            return Unprovable(stats)
+            return Unprovable(stats, self._countervaluation(g))
         return Provable(self._extract(g), h, stats)
 
     def is_provable(self, goal: Sequent) -> bool:
@@ -211,6 +283,40 @@ class Engine:
         if succ != _ABSURD:
             total += fw[succ]
         return total
+
+    def _failing_rows(self, g: tuple) -> int:
+        """Valuations, as a truth-table mask, under which the goal fails.
+
+        Nonzero means classically invalid; 0 also when the filter is off.
+        """
+        t = self._t
+        truth = t.truth
+        ants, succ = g
+        rows = t.full if succ == _ABSURD else t.full ^ truth[succ]
+        for a in ants:
+            if not rows:
+                break
+            rows &= truth[a]
+        return rows
+
+    def _countervaluation(self, g: tuple) -> Optional[tuple[tuple[str, bool], ...]]:
+        """The goal's atoms valued by its lowest failing row, if it has one."""
+        rows = self._failing_rows(g)
+        if not rows:
+            return None
+        v = (rows & -rows).bit_length() - 1
+        t = self._t
+        ants, succ = g
+        mentioned = {
+            f
+            for i in (ants if succ == _ABSURD else ants + (succ,))
+            for f in subformulas(t.obj[i])
+        }
+        return tuple(sorted(
+            (t.obj[i].name, bool(v >> k & 1))
+            for k, i in enumerate(t.atoms)
+            if t.obj[i] in mentioned
+        ))
 
     def _insert(self, ants: tuple[int, ...], x: int) -> tuple[int, ...]:
         if x in ants:
@@ -313,8 +419,11 @@ class Engine:
 
     def _solve(self, root: tuple) -> SearchStats:
         settled = self._heights
+        failing_rows = self._failing_rows
         visits = 1
         maxw = self._goal_weight(root)
+        if root not in settled and failing_rows(root):
+            settled[root] = None  # classically invalid, so underivable
         if root in settled:
             return SearchStats(visits, 1, maxw, self.mode)
 
@@ -338,14 +447,17 @@ class Engine:
                 dead = False
                 for p in prems:
                     visits += 1
-                    if p in settled:
-                        touched_settled.add(p)
-                        ph = settled[p]
-                        if ph is None:
-                            dead = True
-                            break
-                        if ph > maxh:
-                            maxh = ph
+                    if p not in settled:
+                        if p in nodes or not failing_rows(p):
+                            continue
+                        settled[p] = None  # classically invalid, so underivable
+                    touched_settled.add(p)
+                    ph = settled[p]
+                    if ph is None:
+                        dead = True
+                        break
+                    if ph > maxh:
+                        maxh = ph
                 if dead:
                     continue
                 idx = len(instances)
@@ -361,9 +473,9 @@ class Engine:
                 if rec[2] == 0:
                     h = 1 + maxh if prems else 0
                     heapq.heappush(heap, (h, next(tick), g))
-            if len(settled) + len(nodes) > self.memo_cap:
+            if len(nodes) > self.memo_cap:
                 raise ResourceLimitError(
-                    f"distinct goal count exceeded the cap of {self.memo_cap}"
+                    f"one query explored more than the cap of {self.memo_cap} goals"
                 )
 
         # Settle provable goals in order of minimal height.

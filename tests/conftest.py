@@ -1,9 +1,47 @@
 """Shared test helpers: independent oracles and random generators."""
 
+import itertools
 import random
 
 from coreseq import And, Atom, Imp, Neg, Or
 from coreseq.engine import backward_instances
+from coreseq.syntax import subformulas
+
+
+def evaluate(f, valuation):
+    """Classical truth value of a formula under an atom-name valuation."""
+    if isinstance(f, Atom):
+        return valuation[f.name]
+    if isinstance(f, Neg):
+        return not evaluate(f.sub, valuation)
+    left, right = evaluate(f.left, valuation), evaluate(f.right, valuation)
+    if isinstance(f, And):
+        return left and right
+    if isinstance(f, Or):
+        return left or right
+    return not left or right
+
+
+def sequent_atoms(s):
+    formulas = s.antecedent + (() if s.succedent is None else (s.succedent,))
+    return sorted({g.name for f in formulas for g in subformulas(f) if isinstance(g, Atom)})
+
+
+def falsifies(valuation, s):
+    """The valuation makes the whole antecedent true and the succedent
+    false; for the absurdity marker, it makes the antecedent true."""
+    return all(evaluate(f, valuation) for f in s.antecedent) and (
+        s.succedent is None or not evaluate(s.succedent, valuation)
+    )
+
+
+def classically_valid(s):
+    """Truth-table validity, independent of the engine's own tables."""
+    names = sequent_atoms(s)
+    return not any(
+        falsifies(dict(zip(names, bits)), s)
+        for bits in itertools.product((False, True), repeat=len(names))
+    )
 
 
 def iddfs_min_height(goal, mode="tennant", max_height=12):

@@ -69,6 +69,25 @@ def test_decide_strict_mode(capsys):
     assert code == 0
 
 
+def test_decide_prints_countervaluation_of_classically_invalid_goal(capsys):
+    code, out, err = run(capsys, "decide", "q -> r, p |-", "--json")
+    assert code == 1
+    assert json.loads(out)["countervaluation"] == {"p": True, "q": False, "r": False}
+    assert "classically invalid: p = true, q = false, r = false" in err
+    # a classically valid root is exhausted by search and has no countervaluation
+    code, out, err = run(capsys, "decide", "~A, A |- B", "--json")
+    assert code == 1
+    assert "countervaluation" not in json.loads(out)
+    assert "exhausted 1 goals" in err
+
+
+def test_decide_deeply_nested_input_exits_2(capsys):
+    code, _, err = run(capsys, "decide", "~" * 3000 + "p |- p")
+    assert code == 2
+    assert "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_memo_cap_env_produces_resource_exit(capsys, monkeypatch):
     monkeypatch.setenv("CORESEQ_MEMO_CAP", "4")
     code, _, err = run(capsys, "decide", "p -> q, q -> p, p | q |- p & q")
@@ -113,6 +132,23 @@ def test_check_unknown_keys_rejected(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(bad))
     assert code == 2
     assert "unknown" in err
+
+
+def test_check_deeply_nested_derivation_exits_2(capsys, tmp_path):
+    depth = 3000
+    leaf = '{"rule": "Ax", "conclusion": "p |- p", "premises": []}'
+    deep = tmp_path / "deep.json"
+    deep.write_text(
+        '{"rule": "ROr1", "conclusion": "p |- p | p", "premises": [' * depth + leaf + "]}" * depth,
+        encoding="utf-8",
+    )
+    code, _, err = run(capsys, "check", str(deep))
+    assert code == 2
+    assert "nested too deeply" in err
+    assert "Traceback" not in err
+    code, out, _ = run(capsys, "check", str(deep), "--json")
+    assert code == 2
+    assert json.loads(out) == {"status": "error", "error": "input nested too deeply"}
 
 
 # -- repro ----------------------------------------------------------------------

@@ -1,11 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import iddfs_min_height, random_formula
+from conftest import classically_valid, falsifies, iddfs_min_height, random_formula, sequent_atoms
 from coreseq import (
+    And,
     Atom,
     Engine,
+    Imp,
+    Neg,
+    Or,
     Provable,
     ResourceLimitError,
     Sequent,
@@ -21,8 +26,9 @@ from coreseq import (
     print_sequent,
     provable_subsequents,
     sequent_family,
+    sequent_weight,
 )
-from coreseq.engine import backward_instances
+from coreseq.engine import TABLE_ATOM_CEILING, backward_instances
 from coreseq.kernel import check_rule
 
 S = parse_sequent
@@ -191,6 +197,124 @@ def test_resource_limit_is_not_unprovable():
     eng = Engine(memo_cap=5)
     with pytest.raises(ResourceLimitError):
         eng.decide(S("p -> q, q -> p, p | q |- p & q"))
+
+
+def test_memo_cap_ignores_earlier_queries():
+    # the cap bounds the goals one query explores, not the shared table
+    eng = Engine(memo_cap=131)
+    assert eng.is_provable(S("p -> q, q -> r |- p -> r"))
+    assert eng.min_height(S("r, s |- r & s")) == 1
+    assert Engine(memo_cap=131).min_height(S("r, s |- r & s")) == 1
+    # pruned goals also enter the table; fill it well past the cap
+    for goal in sequent_family(formula_universe(["p", "q"], 3), 5):
+        eng.min_height(goal)
+    assert len(eng._heights) > 2 * 131
+    assert eng.min_height(S("r, s |- s & r")) == 1
+
+
+# -- the classical filter ----------------------------------------------------
+
+
+class _UnprunedEngine(Engine):
+    """The engine with its classical filter off: every goal counts as
+    classically valid, so nothing is pruned."""
+
+    def _failing_rows(self, g):
+        return 0
+
+
+def test_every_instance_is_classically_sound():
+    # the filter's soundness, exhaustively: an instance whose conclusion is
+    # classically invalid always has a classically invalid premise, so an
+    # invalid goal is underivable and pruning it loses nothing
+    family = sequent_family(formula_universe(["p", "q"], 5), 5)
+    valid = {}
+
+    def is_valid(s):
+        if s not in valid:
+            valid[s] = classically_valid(s)
+        return valid[s]
+
+    invalid_conclusions = 0
+    for mode in ("tennant", "strict-table"):
+        for goal in family:
+            if is_valid(goal):
+                continue
+            invalid_conclusions += 1
+            for rule, prems in backward_instances(goal, mode):
+                assert not all(is_valid(p) for p in prems), (
+                    mode, print_sequent(goal), rule, [print_sequent(p) for p in prems]
+                )
+    assert invalid_conclusions > 1000
+
+
+def _same_result(pruned, unpruned, goal):
+    assert pruned.is_provable == unpruned.is_provable, print_sequent(goal)
+    if pruned.is_provable:
+        assert pruned.min_height == unpruned.min_height, print_sequent(goal)
+        assert pruned.derivation == unpruned.derivation, print_sequent(goal)
+
+
+@pytest.mark.parametrize("mode", ["tennant", "strict-table"])
+def test_pruning_keeps_heights_and_derivations(mode):
+    family = sequent_family(formula_universe(["p", "q"], 6), 6)
+    pruned, unpruned = Engine(mode), _UnprunedEngine(mode)
+    explored = {"pruned": 0, "unpruned": 0}
+    for goal in family:
+        a, b = pruned.decide(goal), unpruned.decide(goal)
+        _same_result(a, b, goal)
+        for key, res in (("pruned", a), ("unpruned", b)):
+            explored[key] += (res.stats if res.is_provable else res.certificate).distinct_goals
+    assert explored["pruned"] < explored["unpruned"] / 2
+
+
+_ATOMS3 = st.sampled_from([Atom("p"), Atom("q"), Atom("r")])
+_FORMULAS3 = st.recursive(
+    _ATOMS3,
+    lambda sub: st.one_of(
+        st.builds(Neg, sub), st.builds(And, sub, sub), st.builds(Or, sub, sub), st.builds(Imp, sub, sub)
+    ),
+    max_leaves=3,
+)
+# the unpruned engine needs seconds beyond weight 10
+_SEQUENTS3 = st.builds(
+    Sequent, st.lists(_FORMULAS3, max_size=3).map(tuple), st.none() | _FORMULAS3
+).filter(lambda s: (s.antecedent or s.succedent is not None) and sequent_weight(s) <= 10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SEQUENTS3, st.sampled_from(["tennant", "strict-table"]))
+def test_pruning_is_invisible_on_random_sequents(goal, mode):
+    _same_result(Engine(mode).decide(goal), _UnprunedEngine(mode).decide(goal), goal)
+
+
+def test_countervaluation_falsifies_the_goal():
+    eng = Engine()
+    certified = 0
+    for goal in sequent_family(formula_universe(["p", "q", "r"], 3), 4):
+        res = eng.decide(goal)
+        if res.is_provable:
+            assert classically_valid(goal)
+            continue
+        cv = res.countervaluation
+        if classically_valid(goal):
+            assert cv is None, print_sequent(goal)
+            continue
+        certified += 1
+        assert [name for name, _ in cv] == sequent_atoms(goal), print_sequent(goal)
+        assert falsifies(dict(cv), goal), print_sequent(goal)
+        assert res.certificate.distinct_goals == 1
+    assert certified > 300
+
+
+def test_filter_is_skipped_above_the_atom_ceiling():
+    names = [f"x{i}" for i in range(TABLE_ATOM_CEILING + 1)]
+    # classically invalid, yet found underivable by search, not by a table
+    res = decide(Sequent(tuple(Atom(n) for n in names), Atom("y")))
+    assert isinstance(res, Unprovable)
+    assert res.countervaluation is None
+    res = decide(Sequent((Atom("x0"),), Atom("y")))
+    assert res.countervaluation == (("x0", True), ("y", False))
 
 
 # -- provable_subsequents ----------------------------------------------------
