@@ -14,6 +14,28 @@ goal left unsettled when the space is exhausted is certainly underivable.
 Internally the engine interns formulas to integers and works on sorted id
 tuples; the public surface speaks `Sequent` and `Derivation`.
 
+Split rules.  RAnd, LOr and LImp divide a base (the antecedent, or for a
+left rule the antecedent with or without its principal) between two
+premises: every pair (D, G) of subsets with D | G == the base, 3^n pairs
+for n base elements, times three succedent combos for LOr.  The engine
+never lists those pairs while searching.  A split group (rule, principal,
+base variant, succedent combo) holds its two sides as tables over the 2^n
+subsets, each premise built and looked up once.  A side premise is live
+unless it is settled underivable or classically invalid; a live premise
+is explored only when the other side has a live partner covering the rest
+of the base (a superset-closure table over the live masks says so), which
+is exactly the set of goals the listed pairs would reach.  Settlement is
+a join, after Knuth's generalisation of Dijkstra's algorithm (D. E. Knuth,
+"A generalization of Dijkstra's algorithm", IPL 6(1), 1977): the group
+keeps the heights of its settled masks, and when a side settles at height
+h it is paired with the settled partners covering the rest of the base,
+giving the conclusion 1 + max(h, best partner); a partner settled earlier
+in the same query is at most h, so the first one found is the best.  The
+cost is 2^n per side plus the pairs whose sides both settle, where
+listing the pairs would build and look up 3^n of them (times the combos).
+`_instances` expands the same groups into pairs, in the order the product
+recurrence gives, for derivation extraction and `backward_instances`.
+
 Classical filter.  Each interned formula carries its classical truth
 table: an int with one bit per valuation of the engine's atoms, built from
 its children's tables when it is interned and widened in place when a new
@@ -64,7 +86,6 @@ from .syntax import (
     print_sequent,
     sequent_weight,
     subformulas,
-    weight,
 )
 
 DEFAULT_MEMO_CAP = 10_000_000
@@ -91,6 +112,13 @@ _KATOM, _KNEG, _KAND, _KOR, _KIMP = range(5)
     _RIMPB,
 ) = range(11)
 
+# the two-premise rules, whose instances are split pairs, and the rest
+_SPLIT_RULES = (_RAND, _LOR, _LIMP)
+_ONE_PREMISE_RULES = tuple(r for r in range(11) if r not in _SPLIT_RULES)
+
+# a premise lookup's answer for a goal that may still be derived
+_OPEN = -1
+
 
 class ResourceLimitError(RuntimeError):
     """Search or saturation exceeded its configured size cap."""
@@ -98,6 +126,16 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchStats:
+    """Effort of one query.
+
+    `goals_expanded` counts the premise lookups the search made (one per
+    side premise of a split group, not one per premise pair), plus one for
+    the root.  `distinct_goals` counts the goals the query explored plus
+    the already-settled goals it looked up; a root settled before the
+    query, or classically invalid, counts 1 and 1.  `max_weight_seen` is
+    the largest weight of an explored goal.
+    """
+
     goals_expanded: int
     distinct_goals: int
     max_weight_seen: int
@@ -157,15 +195,18 @@ class _FormulaTable:
         i = self.by_formula.get(f)
         if i is not None:
             return i
-        truth = self.truth
+        truth, fweight = self.truth, self.fweight
         if isinstance(f, Atom):
             node = (_KATOM, -1, -1)
             table = self._new_atom()
+            w = 1
         elif isinstance(f, Neg):
             node = (_KNEG, self.intern(f.sub), -1)
             table = self.full ^ truth[node[1]]
+            w = 1 + fweight[node[1]]
         else:
             a, b = self.intern(f.left), self.intern(f.right)
+            w = 1 + fweight[a] + fweight[b]
             if isinstance(f, And):
                 node = (_KAND, a, b)
                 table = truth[a] & truth[b]
@@ -180,8 +221,8 @@ class _FormulaTable:
         self.kind.append(node[0])
         self.left.append(node[1])
         self.right.append(node[2])
-        self.fweight.append(weight(f))
-        self.rank.append((-weight(f), print_formula(f)))
+        fweight.append(w)
+        self.rank.append((-w, print_formula(f)))
         truth.append(table)
         if node[0] == _KATOM:
             self.atoms.append(i)
@@ -213,16 +254,72 @@ def _remove(ants: tuple[int, ...], x: int) -> tuple[int, ...]:
     return tuple(a for a in ants if a != x)
 
 
-def _splits(elements: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All ordered pairs (D, G) of sub-tuples with D | G == the elements."""
-    pairs = [((), ())]
-    for x in elements:
-        pairs = [
-            p
-            for d, g in pairs
-            for p in ((d + (x,), g + (x,)), (d + (x,), g), (d, g + (x,)))
-        ]
-    return pairs
+def _subsets(base: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every sub-tuple of `base`, indexed by bitmask: bit i keeps base[i]."""
+    subs = [()]
+    for x in base:
+        subs += [s + (x,) for s in subs]
+    return subs
+
+
+def _without(items: list, bit: int) -> list:
+    """The entries of a bitmask-indexed list whose mask lacks `bit`,
+    reindexed with that bit squeezed out (order is preserved)."""
+    return [x for m, x in enumerate(items) if not m & bit]
+
+
+def _superset_closure(bits: int, n: int) -> int:
+    """The masks over n elements that some mask in the bitset `bits` contains.
+
+    Bit m of a bitset stands for mask m.  For each element i in turn, every
+    mask lacking i takes the bit of the same mask with i added.
+    """
+    ones = (1 << (1 << n)) - 1
+    for i in range(n):
+        step = 1 << i
+        # the masks lacking element i: runs of `step` ones, period 2 * step
+        clear = ((1 << step) - 1) * (ones // ((1 << 2 * step) - 1))
+        bits |= (bits >> step) & clear
+    return bits
+
+
+def _product_pairs(family, live=None) -> list[tuple[tuple, tuple]]:
+    """A split family's premise pairs, in product order.
+
+    A family is a list of (lefts, rights) groups, one per succedent combo,
+    each side indexed by the bitmask of base elements its premise keeps; a
+    pair (D, G) has D | G == the base.  Pairs are ordered by their base-3
+    key, one digit per base element, the first element most significant:
+    0 when both sides keep it, 1 when only the left does, 2 when only the
+    right does; combos vary fastest.  With `live`, only pairs whose two
+    premises pass it are listed.
+    """
+    size = len(family[0][0])
+    full = size - 1
+    n = full.bit_length()
+    digit = [0] * size  # the key of a mask's elements, each with digit 1
+    for m in range(1, size):
+        low = m & -m
+        digit[m] = digit[m ^ low] + 3 ** (n - low.bit_length())
+    found = []
+    for combo, (lefts, rights) in enumerate(family):
+        ok_right = None if live is None else [live(p) for p in rights]
+        for d in range(size):
+            if live is not None and not live(lefts[d]):
+                continue
+            comp = full ^ d
+            shared = d
+            while True:
+                gm = comp | shared
+                if ok_right is None or ok_right[gm]:
+                    found.append((digit[d ^ shared] + 2 * digit[comp], combo, d, gm))
+                if not shared:
+                    break
+                shared = (shared - 1) & d
+    found.sort()
+    return [
+        (family[combo][0][d], family[combo][1][gm]) for _key, combo, d, gm in found
+    ]
 
 
 class Engine:
@@ -330,54 +427,65 @@ class Engine:
 
     # -- instance enumeration (id space) --
 
-    def _instances(self, g: tuple) -> list[tuple[int, tuple[tuple, ...]]]:
-        """Every rule instance concluding this goal, grouped in rule order.
+    def _blocks(self, g: tuple) -> list[list]:
+        """The rule instances concluding this goal, one block per rule.
 
-        Within a rule, instances follow the canonical generation order:
-        principals in antecedent order, discharged premise variants before
-        retaining ones, splits in product order.
+        The block of Ax or a one-premise rule lists premise tuples.  The
+        block of a split rule (RAnd, LOr, LImp) lists split families in the
+        form `_product_pairs` reads, one per principal and base variant;
+        each premise antecedent is built once per subset of the base, never
+        once per pair.  Within a block, entries follow the canonical
+        generation order: principals in antecedent order, discharged premise
+        variants before retaining ones.
         """
         t = self._t
         kind, left, right = t.kind, t.left, t.right
+        insert = self._insert
         ants, succ = g
         blocks: list[list] = [[] for _ in range(11)]
+        subs = None  # every sub-tuple of the antecedent, built on first use
 
         if succ == _ABSURD:
             for f in ants:
                 if kind[f] == _KNEG:
                     a = left[f]
-                    blocks[_LNEG].append((_LNEG, ((_remove(ants, f), a),)))
-                    blocks[_LNEG].append((_LNEG, ((ants, a),)))
+                    blocks[_LNEG] += (((_remove(ants, f), a),), ((ants, a),))
         else:
             if len(ants) == 1 and ants[0] == succ:
-                blocks[_AX].append((_AX, ()))
+                blocks[_AX].append(())
             sk = kind[succ]
             if sk == _KNEG:
                 a = left[succ]
                 if a not in ants:
-                    blocks[_RNEG].append((_RNEG, ((self._insert(ants, a), _ABSURD),)))
+                    blocks[_RNEG].append(((insert(ants, a), _ABSURD),))
             elif sk == _KAND:
                 a, b = left[succ], right[succ]
-                for d, gg in _splits(ants):
-                    blocks[_RAND].append((_RAND, ((d, a), (gg, b))))
+                subs = _subsets(ants)
+                blocks[_RAND].append((([(d, a) for d in subs], [(d, b) for d in subs]),))
             elif sk == _KOR:
-                blocks[_ROR1].append((_ROR1, ((ants, left[succ]),)))
-                blocks[_ROR2].append((_ROR2, ((ants, right[succ]),)))
+                blocks[_ROR1].append(((ants, left[succ]),))
+                blocks[_ROR2].append(((ants, right[succ]),))
             elif sk == _KIMP:
                 a, b = left[succ], right[succ]
-                blocks[_RIMPA].append((_RIMPA, ((self._insert(ants, a), _ABSURD),)))
+                blocks[_RIMPA].append(((insert(ants, a), _ABSURD),))
                 if a not in ants:
-                    blocks[_RIMPB].append((_RIMPB, ((ants, b),)))
-                    blocks[_RIMPB].append((_RIMPB, ((self._insert(ants, a), b),)))
+                    blocks[_RIMPB].append(((ants, b),))
+                    blocks[_RIMPB].append(((insert(ants, a), b),))
 
         left_absurd_ok = succ != _ABSURD or self.mode == "tennant"
-        combos = (
-            ((_ABSURD, _ABSURD),)
-            if succ == _ABSURD
-            else ((succ, succ), (succ, _ABSURD), (_ABSURD, succ))
-        )
 
-        for f in ants:
+        def lor_family(la: list, rb: list) -> tuple:
+            if succ == _ABSURD:
+                return (([(x, _ABSURD) for x in la], [(y, _ABSURD) for y in rb]),)
+            ls = [(x, succ) for x in la]
+            rs = [(y, succ) for y in rb]
+            return (
+                (ls, rs),
+                (ls, [(y, _ABSURD) for y in rb]),
+                ([(x, _ABSURD) for x in la], rs),
+            )
+
+        for pos, f in enumerate(ants):
             k = kind[f]
             if k == _KAND and left_absurd_ok:
                 a, b = left[f], right[f]
@@ -388,28 +496,50 @@ class Engine:
                     for ins in inserts:
                         prem = base
                         for x in ins:
-                            prem = self._insert(prem, x)
-                        blocks[_LAND].append((_LAND, ((prem, succ),)))
-            elif k == _KOR:
+                            prem = insert(prem, x)
+                        blocks[_LAND].append(((prem, succ),))
+            elif k == _KOR or (k == _KIMP and left_absurd_ok):
+                # the base without f is the subsets whose mask lacks its bit
+                if subs is None:
+                    subs = _subsets(ants)
                 a, b = left[f], right[f]
-                for base in (_remove(ants, f), ants):
-                    for d, gg in _splits(base):
-                        p1 = self._insert(d, a)
-                        p2 = self._insert(gg, b)
-                        for s1, s2 in combos:
-                            blocks[_LOR].append((_LOR, ((p1, s1), (p2, s2))))
-            elif k == _KIMP and left_absurd_ok:
-                a, b = left[f], right[f]
-                for base in (_remove(ants, f), ants):
-                    for d, gg in _splits(base):
-                        blocks[_LIMP].append(
-                            (_LIMP, ((d, a), (self._insert(gg, b), succ)))
-                        )
+                bit = 1 << pos
+                if k == _KOR:
+                    la = [insert(d, a) for d in subs]
+                    rb = [insert(d, b) for d in subs]
+                    blocks[_LOR] += (
+                        lor_family(_without(la, bit), _without(rb, bit)),
+                        lor_family(la, rb),
+                    )
+                else:
+                    minor = [(d, a) for d in subs]
+                    major = [(insert(d, b), succ) for d in subs]
+                    blocks[_LIMP] += (
+                        ((_without(minor, bit), _without(major, bit)),),
+                        ((minor, major),),
+                    )
+        return blocks
 
+    def _instances(self, g: tuple, live=None) -> list[tuple[int, tuple[tuple, ...]]]:
+        """Every rule instance concluding this goal, grouped in rule order.
+
+        Within a rule, instances follow the canonical generation order:
+        principals in antecedent order, discharged premise variants before
+        retaining ones, split pairs in product order (see `_product_pairs`);
+        a repeated instance keeps its first place.  With `live`, only the
+        instances whose premises all pass it are listed, in the same order.
+        """
         seen = set()
         out = []
-        for block in blocks:
-            for inst in block:
+        for rule, block in enumerate(self._blocks(g)):
+            if rule in _SPLIT_RULES:
+                cands = [p for family in block for p in _product_pairs(family, live)]
+            elif live is None:
+                cands = block
+            else:
+                cands = [p for p in block if all(map(live, p))]
+            for prems in cands:
+                inst = (rule, prems)
                 if inst not in seen:
                     seen.add(inst)
                     out.append(inst)
@@ -418,6 +548,14 @@ class Engine:
     # -- solving --
 
     def _solve(self, root: tuple) -> SearchStats:
+        """Explore the goals below the root and settle their minimal heights.
+
+        One-premise instances wait on their premise.  A split rule is a join
+        of two sides (Knuth's generalisation of Dijkstra's algorithm): each
+        split group keeps the heights of its settled side premises, and a
+        side settling at height h is joined with the settled partners that
+        cover the rest of the base, never with a listed pair.
+        """
         settled = self._heights
         failing_rows = self._failing_rows
         visits = 1
@@ -427,52 +565,138 @@ class Engine:
         if root in settled:
             return SearchStats(visits, 1, maxw, self.mode)
 
-        # Explore the reachable instance hypergraph.
-        # instance record: [conclusion, premises, unresolved, max_premise_height]
-        instances: list[list] = []
-        watchers: dict[tuple, list[int]] = {}
         heap: list[tuple[int, int, tuple]] = []
         tick = itertools.count()
         nodes: set[tuple] = {root}
         touched_settled: set[tuple] = set()
+        # premise -> conclusions of the one-premise instances waiting on it
+        waiting: dict[tuple, list[tuple]] = {}
+        # premise -> (group, side, mask) slots it fills in split groups; a
+        # group is [conclusion, full mask, left heights, right heights,
+        # settled left masks, settled right masks]
+        joined: dict[tuple, list[tuple[list, int, int]]] = {}
+
         stack = [root]
+
+        def look(p: tuple) -> Optional[int]:
+            """One premise lookup: the premise's height if it is settled
+            provable, _OPEN if it may still be derived, None if it is
+            underivable."""
+            if p in settled:
+                touched_settled.add(p)
+                return settled[p]
+            if p in nodes or not failing_rows(p):
+                return _OPEN
+            settled[p] = None  # classically invalid, so underivable
+            touched_settled.add(p)
+            return None
+
+        def wait(p: tuple, entry, table: dict) -> None:
+            if p in table:
+                table[p].append(entry)
+            else:
+                table[p] = [entry]
+            if p not in nodes:
+                nodes.add(p)
+                stack.append(p)
+
+        def open_group(g: tuple, lefts: list, rights: list) -> int:
+            """Register one split group of goal g; returns the lookups made.
+
+            Every left premise is looked up, and a right one only when a
+            live left premise covers the rest of the base: the lookups the
+            premise pairs would make, each pair's left premise first.  A
+            live premise waits only when a live partner covers the rest of
+            the base, so the explored goals are the pairs' too.
+            """
+            size = len(lefts)
+            full = size - 1
+            everything = (1 << size) - 1
+            left_h = [look(p) for p in lefts]
+            lookups = size
+            ok_left = 0
+            for m in range(size):
+                if left_h[m] is not None:
+                    ok_left |= 1 << m
+            if not ok_left:
+                return lookups
+            # a live whole base covers every mask
+            if ok_left >> full & 1:
+                cover_left = everything
+                right_h = [look(p) for p in rights]
+                lookups += size
+            else:
+                cover_left = _superset_closure(ok_left, full.bit_length())
+                right_h = [None] * size
+                for m in range(size):
+                    if cover_left >> (full ^ m) & 1:
+                        lookups += 1
+                        right_h[m] = look(rights[m])
+            ok_right = 0
+            for m in range(size):
+                if right_h[m] is not None:
+                    ok_right |= 1 << m
+            if not ok_right:
+                return lookups
+            cover_right = (
+                everything if ok_right >> full & 1
+                else _superset_closure(ok_right, full.bit_length())
+            )
+            # a side's height list keeps only its settled masks; an open
+            # or unpaired one is None
+            grp = [g, full, left_h, right_h, [], []]
+            for side, prems, heights, cover in (
+                (0, lefts, left_h, cover_right),
+                (1, rights, right_h, cover_left),
+            ):
+                done = grp[4 + side]
+                for m in range(size):
+                    ph = heights[m]
+                    if ph is None:
+                        continue
+                    if not cover >> (full ^ m) & 1:
+                        heights[m] = None
+                    elif ph == _OPEN:
+                        heights[m] = None
+                        wait(prems[m], (grp, side, m), joined)
+                    else:
+                        done.append(m)
+            # pairs settled on both sides before this query
+            best = None
+            for d in grp[4]:
+                comp = full ^ d
+                for gm in grp[5]:
+                    if gm & comp == comp:
+                        cand = max(left_h[d], right_h[gm])
+                        if best is None or cand < best:
+                            best = cand
+            if best is not None:
+                heapq.heappush(heap, (1 + best, next(tick), g))
+            return lookups
+
         while stack:
             g = stack.pop()
             w = self._goal_weight(g)
             if w > maxw:
                 maxw = w
-            for _rule, prems in self._instances(g):
-                unresolved = 0
-                maxh = 0
-                dead = False
-                for p in prems:
+            blocks = self._blocks(g)
+            for rule in _ONE_PREMISE_RULES:
+                for prems in blocks[rule]:
+                    if not prems:
+                        heapq.heappush(heap, (0, next(tick), g))
+                        continue
                     visits += 1
-                    if p not in settled:
-                        if p in nodes or not failing_rows(p):
-                            continue
-                        settled[p] = None  # classically invalid, so underivable
-                    touched_settled.add(p)
-                    ph = settled[p]
+                    ph = look(prems[0])
                     if ph is None:
-                        dead = True
-                        break
-                    if ph > maxh:
-                        maxh = ph
-                if dead:
-                    continue
-                idx = len(instances)
-                rec = [g, prems, unresolved, maxh]
-                for p in prems:
-                    if p not in settled:
-                        rec[2] += 1
-                        watchers.setdefault(p, []).append(idx)
-                        if p not in nodes:
-                            nodes.add(p)
-                            stack.append(p)
-                instances.append(rec)
-                if rec[2] == 0:
-                    h = 1 + maxh if prems else 0
-                    heapq.heappush(heap, (h, next(tick), g))
+                        continue
+                    if ph == _OPEN:
+                        wait(prems[0], g, waiting)
+                    else:
+                        heapq.heappush(heap, (1 + ph, next(tick), g))
+            for rule in _SPLIT_RULES:
+                for family in blocks[rule]:
+                    for lefts, rights in family:
+                        visits += open_group(g, lefts, rights)
             if len(nodes) > self.memo_cap:
                 raise ResourceLimitError(
                     f"one query explored more than the cap of {self.memo_cap} goals"
@@ -484,13 +708,31 @@ class Engine:
             if g in settled:
                 continue
             settled[g] = h
-            for idx in watchers.get(g, ()):
-                rec = instances[idx]
-                rec[2] -= 1
-                if h > rec[3]:
-                    rec[3] = h
-                if rec[2] == 0 and rec[0] not in settled:
-                    heapq.heappush(heap, (1 + rec[3], next(tick), rec[0]))
+            for c in waiting.get(g, ()):
+                if c not in settled:
+                    heapq.heappush(heap, (1 + h, next(tick), c))
+            for grp, side, m in joined.get(g, ()):
+                c = grp[0]
+                if c in settled:
+                    continue
+                grp[2 + side][m] = h
+                grp[4 + side].append(m)
+                # join with the other side's settled masks covering the
+                # rest of the base; one settled during this query has
+                # height <= h, so it gives the best pair at once
+                other_heights = grp[3 - side]
+                comp = grp[1] ^ m
+                best = None
+                for x in grp[5 - side]:
+                    if x & comp == comp:
+                        hx = other_heights[x]
+                        if hx <= h:
+                            best = h
+                            break
+                        if best is None or hx < best:
+                            best = hx
+                if best is not None:
+                    heapq.heappush(heap, (1 + best, next(tick), c))
 
         # Everything explored but never settled is underivable: the whole
         # finite space below it has been exhausted.
@@ -504,19 +746,8 @@ class Engine:
     def _extract(self, g: tuple) -> Derivation:
         settled = self._heights
         h = settled[g]
-        for rule, prems in self._instances(g):
-            maxh = 0
-            ok = True
-            for p in prems:
-                ph = settled.get(p)
-                if ph is None:
-                    ok = False
-                    break
-                if ph > maxh:
-                    maxh = ph
-            if not ok:
-                continue
-            cand = 1 + maxh if prems else 0
+        for rule, prems in self._instances(g, lambda p: settled.get(p) is not None):
+            cand = 1 + max(settled[p] for p in prems) if prems else 0
             if cand == h:
                 return Derivation(
                     self._goal_sequent(g),

@@ -3,7 +3,7 @@
 import itertools
 import random
 
-from coreseq import And, Atom, Imp, Neg, Or
+from coreseq import And, Atom, Imp, Neg, Or, Sequent
 from coreseq.engine import backward_instances
 from coreseq.syntax import subformulas
 
@@ -42,6 +42,48 @@ def classically_valid(s):
         falsifies(dict(zip(names, bits)), s)
         for bits in itertools.product((False, True), repeat=len(names))
     )
+
+
+def splits(elements):
+    """All ordered pairs (D, G) of sub-tuples with D | G == the elements, in
+    product order: for each element in turn, both sides keep it, then only
+    D, then only G."""
+    pairs = [((), ())]
+    for x in elements:
+        pairs = [
+            p
+            for d, g in pairs
+            for p in ((d + (x,), g + (x,)), (d + (x,), g), (d, g + (x,)))
+        ]
+    return pairs
+
+
+def split_instances(goal, mode="tennant"):
+    """The goal's RAnd, LOr and LImp instances as (rule, premises), rebuilt
+    from `splits` over its antecedent: rules in that order, principals in
+    antecedent order, the base without the principal before the base with
+    it, and for LOr the succedent combos innermost.  Repeats are kept."""
+    ants, succ = goal.antecedent, goal.succedent
+    out = []
+    if isinstance(succ, And):
+        for d, g in splits(ants):
+            out.append(("RAnd", (Sequent(d, succ.left), Sequent(g, succ.right))))
+    combos = ((None, None),) if succ is None else ((succ, succ), (succ, None), (None, succ))
+    for rule, kind in (("LOr", Or), ("LImp", Imp)):
+        if kind is Imp and succ is None and mode != "tennant":
+            continue
+        for f in ants:
+            if not isinstance(f, kind):
+                continue
+            a, b = f.left, f.right
+            for base in (tuple(x for x in ants if x != f), ants):
+                for d, g in splits(base):
+                    if kind is Or:
+                        for s1, s2 in combos:
+                            out.append((rule, (Sequent(d + (a,), s1), Sequent(g + (b,), s2))))
+                    else:
+                        out.append((rule, (Sequent(d, a), Sequent(g + (b,), succ))))
+    return out
 
 
 def iddfs_min_height(goal, mode="tennant", max_height=12):

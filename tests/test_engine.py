@@ -3,7 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import classically_valid, falsifies, iddfs_min_height, random_formula, sequent_atoms
+from conftest import (
+    classically_valid,
+    falsifies,
+    iddfs_min_height,
+    random_formula,
+    sequent_atoms,
+    split_instances,
+)
 from coreseq import (
     And,
     Atom,
@@ -30,6 +37,7 @@ from coreseq import (
 )
 from coreseq.engine import TABLE_ATOM_CEILING, backward_instances
 from coreseq.kernel import check_rule
+from coreseq.syntax import weight
 
 S = parse_sequent
 F = parse_formula
@@ -168,6 +176,106 @@ def test_backward_instances_pass_the_checker():
         for rule, prems in backward_instances(goal):
             v = check_rule(goal, rule, list(prems))
             assert v is None, (print_sequent(goal), rule, [print_sequent(p) for p in prems], v)
+
+
+# -- split rules: RAnd, LOr and LImp ----------------------------------------
+
+_SPLIT_RULE_NAMES = ("RAnd", "LOr", "LImp")
+_FAMILY5 = sequent_family(formula_universe(["p", "q"], 5), 5)
+
+
+@pytest.mark.parametrize("mode", ["tennant", "strict-table"])
+def test_split_instances_follow_the_reference_order(mode):
+    # the engine's subset tables and base-3 pair order give exactly the
+    # instances of the 3^n product recurrence, first occurrence kept
+    checked = 0
+    for goal in _FAMILY5:
+        expected = list(dict.fromkeys(split_instances(goal, mode)))
+        listed = [i for i in backward_instances(goal, mode) if i[0] in _SPLIT_RULE_NAMES]
+        assert listed == expected, print_sequent(goal)
+        checked += len(expected)
+    assert checked > 1500
+
+
+@pytest.mark.parametrize("mode", ["tennant", "strict-table"])
+def test_filtered_instances_keep_order(mode):
+    rng = random.Random(4)
+    drawn = {}
+
+    def coin(p):
+        if p not in drawn:
+            drawn[p] = rng.random() < 0.7
+        return drawn[p]
+
+    for goal in _FAMILY5:
+        eng = Engine(mode)
+        g = eng._intern_goal(goal)
+        everything = eng._instances(g)
+        valid = {}
+
+        def is_valid(p):
+            if p not in valid:
+                valid[p] = classically_valid(eng._goal_sequent(p))
+            return valid[p]
+
+        for live in (is_valid, coin):
+            expected = [i for i in everything if all(live(p) for p in i[1])]
+            assert eng._instances(g, live) == expected, print_sequent(goal)
+
+
+@pytest.mark.parametrize(
+    "text, tennant, strict",
+    [
+        # (minimal height or None for unprovable, distinct goals)
+        ("q | ~q, ~(p & q), p & q |- ~(p | q)", (5, 534), (5, 534)),
+        ("~q | (q | r), p |- p", (None, 181), (None, 181)),
+        ("~p | p, ~q, q, r |- r", (None, 197), (None, 197)),
+        ("~p | ~r & p, p, r |-", (3, 170), (None, 163)),
+        ("(r -> ~r) & (r & ~p) |-", (4, 184), (None, 1)),
+    ],
+)
+def test_split_heavy_queries(text, tennant, strict):
+    # the slowest queries of the random-sequent suites, where LOr, LImp
+    # and RAnd have the most premise pairs; the distinct goal counts pin
+    # the explored space, which joining the split sides must not change
+    goal = S(text)
+    for mode, (expected, distinct) in (("tennant", tennant), ("strict-table", strict)):
+        res = Engine(mode).decide(goal)
+        stats = res.stats if res.is_provable else res.certificate
+        assert stats.distinct_goals == distinct, mode
+        assert stats.goals_expanded >= stats.distinct_goals
+        if expected is None:
+            assert isinstance(res, Unprovable), mode
+            continue
+        assert isinstance(res, Provable), mode
+        assert res.min_height == expected
+        assert check_derivation(res.derivation) is None
+        assert res.derivation.conclusion == goal
+        assert height(res.derivation) == expected
+
+
+def test_unpaired_split_sides_are_not_explored():
+    # p, q |- p | p is underivable (there is no weakening), so in each goal
+    # below the side premise p |- p & p has no live partner covering q: it
+    # is in no live pair, and is neither explored nor settled.  Only goals
+    # settled underivable by an earlier query make such sides; classical
+    # validity is monotone in the antecedent, so it never does.
+    for text in ("p, q |- (p & p) & (p | p)", "p, q |- (p | p) & (p & p)"):
+        eng = Engine()
+        assert not eng.is_provable(S("p, q |- p | p"))
+        assert not eng.is_provable(S(text))
+        assert eng._intern_goal(S("p |- p & p")) not in eng._heights, text
+
+
+def test_interned_weights_match_the_syntax():
+    eng = Engine()
+    for f in formula_universe(["p", "q"], 6):
+        eng._t.intern(f)
+    t = eng._t
+    assert len(t.obj) > 1000
+    for i, f in enumerate(t.obj):
+        assert t.fweight[i] == weight(f)
+        assert t.rank[i][0] == -weight(f)
 
 
 def test_determinism_across_fresh_engines():
