@@ -80,6 +80,7 @@ from .syntax import (
     Neg,
     Or,
     Sequent,
+    antecedent_key,
     formula_key,
     is_subformula_closed,
     print_formula,
@@ -171,7 +172,8 @@ DecisionResult = Union[Provable, Unprovable]
 
 
 class _FormulaTable:
-    """Structural interner: formulas as integer ids with child-id tables.
+    """Interner: formulas as integer ids, keyed by their canonical text,
+    with child-id tables.
 
     `truth[i]` is formula i's truth table: bit v is its value under the
     valuation that makes atom k true exactly when bit k of v is set, atoms
@@ -180,7 +182,7 @@ class _FormulaTable:
     """
 
     def __init__(self):
-        self.by_formula: dict[Formula, int] = {}
+        self.by_text: dict[str, int] = {}
         self.obj: list[Formula] = []
         self.kind: list[int] = []
         self.left: list[int] = []
@@ -192,21 +194,18 @@ class _FormulaTable:
         self.full = 1
 
     def intern(self, f: Formula) -> int:
-        i = self.by_formula.get(f)
+        i = self.by_text.get(f.text)
         if i is not None:
             return i
-        truth, fweight = self.truth, self.fweight
+        truth = self.truth
         if isinstance(f, Atom):
             node = (_KATOM, -1, -1)
             table = self._new_atom()
-            w = 1
         elif isinstance(f, Neg):
             node = (_KNEG, self.intern(f.sub), -1)
             table = self.full ^ truth[node[1]]
-            w = 1 + fweight[node[1]]
         else:
             a, b = self.intern(f.left), self.intern(f.right)
-            w = 1 + fweight[a] + fweight[b]
             if isinstance(f, And):
                 node = (_KAND, a, b)
                 table = truth[a] & truth[b]
@@ -221,12 +220,12 @@ class _FormulaTable:
         self.kind.append(node[0])
         self.left.append(node[1])
         self.right.append(node[2])
-        fweight.append(w)
-        self.rank.append((-w, print_formula(f)))
+        self.fweight.append(f.weight)
+        self.rank.append(antecedent_key(f))
         truth.append(table)
         if node[0] == _KATOM:
             self.atoms.append(i)
-        self.by_formula[f] = i
+        self.by_text[f.text] = i
         return i
 
     def _new_atom(self) -> int:
@@ -362,7 +361,8 @@ class Engine:
 
     def _intern_goal(self, s: Sequent) -> tuple:
         t = self._t
-        ants = tuple(sorted((t.intern(f) for f in s.antecedent), key=t.rank.__getitem__))
+        # a sequent keeps its antecedent in antecedent_key order, the rank
+        ants = tuple(t.intern(f) for f in s.antecedent)
         succ = _ABSURD if s.succedent is None else t.intern(s.succedent)
         return (ants, succ)
 
@@ -404,15 +404,19 @@ class Engine:
         v = (rows & -rows).bit_length() - 1
         t = self._t
         ants, succ = g
-        mentioned = {
-            f
-            for i in (ants if succ == _ABSURD else ants + (succ,))
-            for f in subformulas(t.obj[i])
-        }
+        # every subformula id of the goal; -1 (the absurdity
+        # marker, or a child an atom or negation lacks) names no formula
+        stack = [*ants, succ]
+        mentioned = set()
+        while stack:
+            i = stack.pop()
+            if i >= 0 and i not in mentioned:
+                mentioned.add(i)
+                stack += (t.left[i], t.right[i])
         return tuple(sorted(
             (t.obj[i].name, bool(v >> k & 1))
             for k, i in enumerate(t.atoms)
-            if t.obj[i] in mentioned
+            if i in mentioned
         ))
 
     def _insert(self, ants: tuple[int, ...], x: int) -> tuple[int, ...]:

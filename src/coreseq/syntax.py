@@ -15,12 +15,22 @@ empty right-hand side, written ``|-`` with nothing after it).  The
 marker is represented as ``None`` and never occurs inside a formula.
 Antecedents are finite sets, stored canonically ordered and
 duplicate-free.
+
+A formula is identified by its canonical text.  Each node computes its
+weight and its text once, at construction, from its children's fields, so
+neither is recomputed and neither recurses; `==` and `hash` are those of
+the text.  Text works as identity because the printer is injective: its
+output parses back to the same tree.  That needs every atom name to be an
+identifier (a letter, then letters, digits or underscores: what the
+tokenizer reads as one IDENT token), so `Atom` rejects any other name with
+`ValueError`.  Each node stores its own text, so a chain of depth d holds
+O(d^2) characters: as much as a cache of printed subformulas would, but
+freed with the formula.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 
@@ -36,125 +46,102 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # Formulas
 
-
-class _HashCached:
-    """Structural hash computed once per object; trees are compared often."""
-
-    __hash_fields__: tuple = ()
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((type(self).__name__,) + tuple(getattr(self, f) for f in self.__hash_fields__))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-
-@dataclass(frozen=True)
-class Formula(_HashCached):
-    pass
-
-
-@dataclass(frozen=True)
-class Atom(Formula):
-    name: str
-    __hash_fields__ = ("name",)
-    __hash__ = _HashCached.__hash__
-
-
-@dataclass(frozen=True)
-class Neg(Formula):
-    sub: Formula
-    __hash_fields__ = ("sub",)
-    __hash__ = _HashCached.__hash__
-
-
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
-    __hash_fields__ = ("left", "right")
-    __hash__ = _HashCached.__hash__
-
-
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-    __hash_fields__ = ("left", "right")
-    __hash__ = _HashCached.__hash__
-
-
-@dataclass(frozen=True)
-class Imp(Formula):
-    left: Formula
-    right: Formula
-    __hash_fields__ = ("left", "right")
-    __hash__ = _HashCached.__hash__
-
-
-@lru_cache(maxsize=None)
-def weight(f: Formula) -> int:
-    """Node count of the formula tree; every formula has weight >= 1."""
-    if isinstance(f, Atom):
-        return 1
-    if isinstance(f, Neg):
-        return 1 + weight(f.sub)
-    return 1 + weight(f.left) + weight(f.right)
-
-
 # Precedence levels used by the printer; higher binds tighter.
 _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_NEG, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
-def _prec(f: Formula) -> int:
-    if isinstance(f, Atom):
-        return _PREC_ATOM
-    if isinstance(f, Neg):
-        return _PREC_NEG
-    if isinstance(f, And):
-        return _PREC_AND
-    if isinstance(f, Or):
-        return _PREC_OR
-    return _PREC_IMP
+def _paren(f: Formula, level: int) -> str:
+    """f's text, parenthesised unless f binds tighter than `level`."""
+    return f.text if f._prec > level else f"({f.text})"
 
 
-@lru_cache(maxsize=None)
+@dataclass(frozen=True, eq=False)
+class Formula:
+    """A formula node.  `weight` (the node count) and `text` (the canonical
+    form) are set once, at construction, from the children's fields."""
+
+    weight: int = field(init=False, repr=False)
+    text: str = field(init=False, repr=False)
+
+    def __eq__(self, other):
+        if isinstance(other, Formula):
+            return self.text == other.text
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.text)
+
+    def _set(self, weight: int, text: str) -> None:
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "text", text)
+
+
+@dataclass(frozen=True, eq=False)
+class Atom(Formula):
+    name: str
+    _prec = _PREC_ATOM
+
+    def __post_init__(self):
+        name = self.name
+        if not (isinstance(name, str) and name[:1].isalpha() and _ident_end(name, 0) == len(name)):
+            raise ValueError(f"atom name {name!r} is not an identifier")
+        self._set(1, name)
+
+
+@dataclass(frozen=True, eq=False)
+class Neg(Formula):
+    sub: Formula
+    _prec = _PREC_NEG
+
+    def __post_init__(self):
+        self._set(1 + self.sub.weight, "~" + _paren(self.sub, _PREC_NEG - 1))
+
+
+@dataclass(frozen=True, eq=False)
+class _Binary(Formula):
+    left: Formula
+    right: Formula
+
+    def __post_init__(self):
+        a, b, prec = self.left, self.right, self._prec
+        # the conditional associates to the right, the others to the left
+        if prec == _PREC_IMP:
+            text = f"{_paren(a, prec)} {self._op} {b.text}"
+        else:
+            text = f"{_paren(a, prec - 1)} {self._op} {_paren(b, prec)}"
+        self._set(1 + a.weight + b.weight, text)
+
+
+class And(_Binary):
+    _prec, _op = _PREC_AND, "&"
+
+
+class Or(_Binary):
+    _prec, _op = _PREC_OR, "|"
+
+
+class Imp(_Binary):
+    _prec, _op = _PREC_IMP, "->"
+
+
+def weight(f: Formula) -> int:
+    """Node count of the formula tree; every formula has weight >= 1."""
+    return f.weight
+
+
 def print_formula(f: Formula) -> str:
     """Minimal-parentheses canonical form; reparses to the same tree."""
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Neg):
-        s = print_formula(f.sub)
-        if _prec(f.sub) < _PREC_NEG:
-            s = f"({s})"
-        return "~" + s
-    if isinstance(f, Imp):
-        # right associative: parenthesise a conditional on the left only
-        lhs = print_formula(f.left)
-        if _prec(f.left) <= _PREC_IMP:
-            lhs = f"({lhs})"
-        return f"{lhs} -> {print_formula(f.right)}"
-    op, prec = ("&", _PREC_AND) if isinstance(f, And) else ("|", _PREC_OR)
-    lhs = print_formula(f.left)
-    if _prec(f.left) < prec:
-        lhs = f"({lhs})"
-    rhs = print_formula(f.right)
-    if _prec(f.right) <= prec:
-        rhs = f"({rhs})"
-    return f"{lhs} {op} {rhs}"
+    return f.text
 
 
-@lru_cache(maxsize=None)
 def formula_key(f: Formula) -> tuple[int, str]:
     """Sort key for enumerations: weight ascending, then canonical text."""
-    return (weight(f), print_formula(f))
+    return (f.weight, f.text)
 
 
-@lru_cache(maxsize=None)
 def antecedent_key(f: Formula) -> tuple[int, str]:
     """Canonical antecedent order: weight descending, then canonical text."""
-    return (-weight(f), print_formula(f))
+    return (-f.weight, f.text)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +153,7 @@ Succedent = Optional[Formula]
 
 
 @dataclass(frozen=True)
-class Sequent(_HashCached):
+class Sequent:
     """Finite-set antecedent plus a single succedent.
 
     The antecedent may be passed as any iterable; it is deduplicated and
@@ -176,9 +163,6 @@ class Sequent(_HashCached):
 
     antecedent: tuple[Formula, ...]
     succedent: Succedent
-
-    __hash_fields__ = ("antecedent", "succedent")
-    __hash__ = _HashCached.__hash__
 
     def __post_init__(self):
         ant = tuple(sorted(set(self.antecedent), key=antecedent_key))
@@ -262,15 +246,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             i += 1
             continue
         if c.isalpha():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
+            j = _ident_end(text, i)
             tokens.append(("IDENT", text[i:j], i))
             i = j
             continue
         raise ParseError(f"unexpected character {c!r}", i)
     tokens.append(("EOF", "", n))
     return tokens
+
+
+def _ident_end(text: str, i: int) -> int:
+    """The end of the identifier starting at the letter text[i]."""
+    j, n = i + 1, len(text)
+    while j < n and (text[j].isalnum() or text[j] == "_"):
+        j += 1
+    return j
 
 
 class _Parser:

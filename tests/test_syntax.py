@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,9 @@ from conftest import random_formula
 from coreseq import (
     And,
     Atom,
+    Engine,
     Imp,
+    IntProver,
     Neg,
     Or,
     ParseError,
@@ -52,6 +56,14 @@ def test_precedence():
 def test_unicode_aliases():
     assert parse_formula("¬p ∧ q → r ∨ p") == parse_formula("~p & q -> r | p")
     assert parse_sequent("¬A, A ⊢ B") == parse_sequent("~A, A |- B")
+
+
+def test_atom_rejects_names_that_do_not_read_back_as_one_identifier():
+    for name in ["", "p q", "p & q", "1p", "_p", "p-q", " p", "p\n", "~p", "¬p"]:
+        with pytest.raises(ValueError):
+            Atom(name)
+    for name in ["p", "p1", "x_0", "Bq2"]:
+        assert parse_formula(name) == Atom(name)
 
 
 def test_parse_error_position():
@@ -161,6 +173,20 @@ def test_weight_monotone():
             assert weight(f) > weight(f.right)
 
 
+def _structure(f):
+    """f as nested tuples: its constructor, then its fields."""
+    if isinstance(f, Atom):
+        return (Atom, f.name)
+    if isinstance(f, Neg):
+        return (Neg, _structure(f.sub))
+    return (type(f), _structure(f.left), _structure(f.right))
+
+
+def _build(t):
+    ctor, *args = t
+    return ctor(*(a if ctor is Atom else _build(a) for a in args))
+
+
 def test_ordering_is_strict_total_order():
     pool = formula_universe(["p", "q"], 4)
     for f in pool:
@@ -173,6 +199,46 @@ def test_ordering_is_strict_total_order():
                 assert (antecedent_key(f) < antecedent_key(g)) != (
                     antecedent_key(g) < antecedent_key(f)
                 )
+    # == and hash agree with structure, also between separately built trees
+    shapes = [_structure(f) for f in pool]
+    copies = [_build(t) for t in shapes]
+    for f, sf in zip(pool, shapes):
+        for g, sg in zip(copies, shapes):
+            assert (f == g) == (sf == sg)
+            if sf == sg:
+                assert hash(f) == hash(g)
+
+
+def test_deep_formula_needs_no_recursion():
+    def chain():
+        f, negs, w = Atom("p"), 0, 1
+        for i in range(10_000):
+            if i % 100:
+                f, negs, w = Neg(f), negs + 1, w + 1
+            else:
+                f, w = Imp(f, Atom("q")), w + 2
+        return f, negs, w
+
+    f, negs, w = chain()
+    g, _, _ = chain()
+    assert f is not g
+    assert weight(f) == w
+    assert print_formula(f).count("~") == negs
+    assert f == g and hash(f) == hash(g)
+    assert f != g.sub and formula_key(f) == formula_key(g)
+
+
+def test_formula_is_freed_when_its_users_are():
+    f = parse_formula("(p -> q) -> ~q -> ~p")
+    for read in (print_formula, weight, formula_key, antecedent_key):
+        read(f)
+    goal = Sequent((), f)
+    assert Engine().decide(goal).is_provable
+    assert IntProver().decide(goal)
+    ref = weakref.ref(f)
+    del f, goal
+    gc.collect()
+    assert ref() is None
 
 
 # -- enumerations -----------------------------------------------------------
