@@ -347,17 +347,18 @@ def parse_sequent(text: str) -> Sequent:
 # ---------------------------------------------------------------------------
 # Bounded enumerations
 
-_atom_cache: dict[tuple[tuple[str, ...], int], list[list[Formula]]] = {}
 
+def formula_universe(atoms: Iterable[str], max_weight: int) -> list[Formula]:
+    """All formulas over the given atoms up to the weight bound.
 
-def _formulas_by_weight(atoms: tuple[str, ...], max_weight: int) -> list[list[Formula]]:
-    """table[w] lists all formulas over `atoms` of weight exactly w."""
-    key = (atoms, max_weight)
-    if key in _atom_cache:
-        return _atom_cache[key]
+    The result is subformula-closed and sorted by (weight, canonical text).
+    Each call enumerates afresh and keeps nothing, so the formulas are
+    freed with the caller's list.
+    """
+    # table[w] lists all formulas of weight exactly w
     table: list[list[Formula]] = [[] for _ in range(max_weight + 1)]
     if max_weight >= 1:
-        table[1] = [Atom(a) for a in atoms]
+        table[1] = [Atom(a) for a in sorted(set(atoms))]
     for w in range(2, max_weight + 1):
         layer: list[Formula] = [Neg(f) for f in table[w - 1]]
         for ctor in (And, Or, Imp):
@@ -366,17 +367,6 @@ def _formulas_by_weight(atoms: tuple[str, ...], max_weight: int) -> list[list[Fo
                     for rf in table[w - 1 - lw]:
                         layer.append(ctor(lf, rf))
         table[w] = layer
-    _atom_cache[key] = table
-    return table
-
-
-def formula_universe(atoms: Iterable[str], max_weight: int) -> list[Formula]:
-    """All formulas over the given atoms up to the weight bound.
-
-    The result is subformula-closed and sorted by (weight, canonical text).
-    """
-    names = tuple(sorted(set(atoms)))
-    table = _formulas_by_weight(names, max_weight)
     out = [f for layer in table[1:] for f in layer]
     out.sort(key=formula_key)
     return out

@@ -1,4 +1,7 @@
+import inspect
 import random
+import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +27,7 @@ from coreseq import (
     Unprovable,
     check_derivation,
     decide,
+    decide_int,
     fixture_derivations,
     formula_universe,
     forward_closure,
@@ -35,9 +39,10 @@ from coreseq import (
     sequent_family,
     sequent_weight,
 )
-from coreseq.engine import TABLE_ATOM_CEILING, backward_instances
+from coreseq import engine
+from coreseq.engine import CLOSURE_FORMULA_CEILING, TABLE_ATOM_CEILING, backward_instances
 from coreseq.kernel import check_rule
-from coreseq.syntax import weight
+from coreseq.syntax import subformulas, weight
 
 S = parse_sequent
 F = parse_formula
@@ -529,3 +534,91 @@ def test_closure_and_engine_agree_on_random_universes():
             if core:
                 assert decide_int(s), (seed, mode, print_sequent(s))
     assert checked > 2000
+
+
+def test_closure_and_engine_agree_on_three_atom_universes():
+    # the same three-cornered differential test over {p, q, r}
+    checked = 0
+    for seed in range(40):
+        rng = random.Random(20_000 + seed)
+        seeds = [random_formula(rng, ["p", "q", "r"], 5) for _ in range(3)]
+        universe = sorted({g for f in seeds for g in subformulas(f)}, key=str)
+        if len(universe) > 12:
+            continue
+        mode = rng.choice(("tennant", "strict-table"))
+        closure = forward_closure(universe, 6, mode=mode)
+        eng = Engine(mode)
+        for s in sequent_family(universe, 6):
+            checked += 1
+            core = eng.is_provable(s)
+            assert core == (s in closure), (seed, mode, print_sequent(s))
+            if core:
+                assert decide_int(s), (seed, mode, print_sequent(s))
+    assert checked > 5000
+
+
+@pytest.mark.parametrize("mode", ["tennant", "strict-table"])
+def test_uncapped_closure_agrees_with_engine(mode):
+    # every sequent of the space, however heavy, not just a capped family
+    universe = [F(t) for t in ("p", "q", "~p", "~q", "p -> q", "p & q", "p | q")]
+    closure = forward_closure(universe, 10**6, mode=mode)
+    eng = Engine(mode)
+    checked = 0
+    for mask in range(1 << len(universe)):
+        ant = tuple(f for i, f in enumerate(universe) if mask >> i & 1)
+        for succ in [*universe, None] if ant else universe:
+            s = Sequent(ant, succ)
+            checked += 1
+            assert eng.is_provable(s) == (s in closure), print_sequent(s)
+    assert checked == 2**7 * 8 - 1
+
+
+def test_closure_cap_counts_the_whole_closure():
+    # raises exactly when the closure is larger than max_size
+    universe = [F(t) for t in ("p", "q", "~p", "~q", "p -> q", "p & q", "p | q")]
+    closure = forward_closure(universe, 10**6)
+    assert forward_closure(universe, 10**6, max_size=len(closure)) == closure
+    with pytest.raises(ResourceLimitError, match=f"cap of {len(closure) - 1} "):
+        forward_closure(universe, 10**6, max_size=len(closure) - 1)
+
+
+def test_closure_refuses_universes_over_the_width_ceiling():
+    atoms = [Atom(f"x{i}") for i in range(CLOSURE_FORMULA_CEILING + 4)]
+    widest = atoms[:CLOSURE_FORMULA_CEILING]
+    assert forward_closure(widest, 2) == {Sequent((a,), a) for a in widest}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="ceiling"):
+            forward_closure(atoms, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one bitset over the masks of this universe would take 2 MB
+    assert peak < 2 ** len(atoms) // 8 // 4
+    # the 18-formula universe of test_closure_resource_cap is under the
+    # ceiling, so it stops at max_size
+    with pytest.raises(ResourceLimitError, match="cap of 10 "):
+        forward_closure(formula_universe(["p", "q"], 3), 6, max_size=10)
+
+
+def test_closure_shares_no_code_with_the_engine_search():
+    # the oracle's code, nested functions and module helpers included,
+    # names none of the backward search's helpers
+    banned = {
+        "_superset_closure", "_subsets", "_without", "_product_pairs",
+        "_blocks", "_instances", "Engine",
+    }
+    seen, todo = set(), [forward_closure.__code__]
+    while todo:
+        code = todo.pop()
+        if code in seen:
+            continue
+        seen.add(code)
+        names = {*code.co_names, *code.co_varnames, *code.co_freevars, *code.co_cellvars}
+        assert not names & banned, (code.co_name, names & banned)
+        todo.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+        for name in code.co_names:
+            obj = getattr(engine, name, None)
+            if inspect.isfunction(obj) and obj.__module__ == engine.__name__:
+                todo.append(obj.__code__)
+    assert {"add", "combine", "unary"} <= {code.co_name for code in seen}

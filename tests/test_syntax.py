@@ -251,6 +251,15 @@ def test_formula_universe_counts():
     assert len(formula_universe(["p", "q"], 5)) == 274
 
 
+def test_enumerated_formulas_are_freed_when_dropped():
+    universe = formula_universe(["p", "q"], 6)
+    refs = [weakref.ref(f) for f in universe]
+    del universe
+    gc.collect()
+    assert len(refs) == 1_116
+    assert all(ref() is None for ref in refs)
+
+
 def test_formula_universe_subformula_closed():
     u = formula_universe(["p", "q"], 4)
     assert is_subformula_closed(u)
