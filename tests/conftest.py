@@ -3,8 +3,9 @@
 import itertools
 import random
 
-from coreseq import And, Atom, Imp, Neg, Or, Sequent
+from coreseq import And, Atom, Imp, KripkeModel, Neg, Or, Sequent
 from coreseq.engine import backward_instances
+from coreseq.intuitionistic import _rooted_posets, _upsets
 from coreseq.syntax import subformulas
 
 
@@ -42,6 +43,26 @@ def classically_valid(s):
         falsifies(dict(zip(names, bits)), s)
         for bits in itertools.product((False, True), repeat=len(names))
     )
+
+
+def brute_countermodel(s, max_worlds):
+    """Reference for `countermodel`: every frame of `_rooted_posets` and
+    every assignment of its upsets to the sequent's atoms, in the documented
+    order, each built as a `KripkeModel` and checked with `forces`."""
+    atoms = sequent_atoms(s)
+    for k in range(1, max_worlds + 1):
+        for order in _rooted_posets(k):
+            upsets = _upsets(k, order)
+            for choice in itertools.product(upsets, repeat=len(atoms)):
+                valuation = tuple(
+                    frozenset(a for a, up in zip(atoms, choice) if w in up) for w in range(k)
+                )
+                model = KripkeModel(tuple(range(k)), order, valuation)
+                if all(model.forces(0, f) for f in s.antecedent) and (
+                    s.succedent is None or not model.forces(0, s.succedent)
+                ):
+                    return model
+    return None
 
 
 def splits(elements):

@@ -1,13 +1,20 @@
+import inspect
 import json
 import random
+import signal
+import tracemalloc
+import types
+from contextlib import contextmanager
 
 import pytest
 
-from conftest import random_formula
+from conftest import brute_countermodel, random_formula
 from coreseq import (
+    Atom,
     Engine,
     IntProver,
     KripkeModel,
+    Neg,
     Sequent,
     countermodel,
     cross_check,
@@ -17,6 +24,8 @@ from coreseq import (
     print_sequent,
     theoremhood_report,
 )
+from coreseq import intuitionistic
+from coreseq.intuitionistic import _frames, _rooted_posets, _upsets
 
 S = parse_sequent
 F = parse_formula
@@ -151,6 +160,167 @@ def test_forcing_of_conditionals_quantifies_over_later_worlds():
     assert not chain.forces(0, F("p"))
     assert chain.forces(0, F("~~p"))
     assert chain.forces(1, F("p"))
+
+
+def _verify_draw(rng, atoms=("p", "q", "r")):
+    """A sequent shaped like the benchmark's Kripke items: 0-3 antecedent
+    formulas of weight 1-4, a fifth of the non-empty ones with the absurdity
+    marker, otherwise a succedent of weight 1-5."""
+    n = rng.randint(0, 3)
+    ants = tuple(random_formula(rng, atoms, rng.randint(1, 4)) for _ in range(n))
+    absurd = n > 0 and rng.random() < 0.2
+    return Sequent(ants, None if absurd else random_formula(rng, atoms, rng.randint(1, 5)))
+
+
+def _same_as_reference(s, bound):
+    m = countermodel(s, bound)
+    assert m == brute_countermodel(s, bound), print_sequent(s)
+    if m is not None:
+        assert all(m.forces(0, f) for f in s.antecedent), print_sequent(s)
+        assert s.succedent is None or not m.forces(0, s.succedent), print_sequent(s)
+    return m
+
+
+@pytest.mark.parametrize("width", [1, 8, intuitionistic.ASSIGNMENT_WIDTH])
+def test_countermodel_is_the_first_enumerated_model_at_bound_3(monkeypatch, width):
+    # narrower widths move atoms from the bitsets to the outer enumeration
+    monkeypatch.setattr(intuitionistic, "ASSIGNMENT_WIDTH", width)
+    rng = random.Random(7301)
+    found = 0
+    for _ in range(300):
+        s = _verify_draw(rng)
+        m = _same_as_reference(s, 3)
+        assert decide_int(s) == (m is None), print_sequent(s)
+        found += m is not None
+    assert found > 100
+
+
+# each needs exactly as many worlds as its list says
+FOUR_WORLD = [
+    "|- (p -> q | r) | (q -> p | r) | (r -> p | q)",
+    "|- p | (p -> q | (q -> r | ~r))",
+    "|- (p -> q) | (q -> r) | (r -> p)",
+]
+FIVE_WORLD = ["|- (p -> q | r) | (q -> p | r) | (r -> p | q) | (p & q -> r)"]
+
+
+def test_countermodel_is_the_first_enumerated_model_at_bounds_4_and_5():
+    for text in FOUR_WORLD:
+        assert _same_as_reference(S(text), 3) is None
+        assert len(_same_as_reference(S(text), 4).worlds) == 4
+    for text in FIVE_WORLD:
+        assert len(_same_as_reference(S(text), 5).worlds) == 5
+    rng = random.Random(7302)
+    for _ in range(30):
+        _same_as_reference(_verify_draw(rng), 4)
+    for _ in range(6):
+        _same_as_reference(_verify_draw(rng, ("p", "q")), 5)
+
+
+def test_frames_are_the_rooted_posets():
+    assert [len(_rooted_posets(k)) for k in range(1, 6)] == [1, 1, 2, 5, 16]
+    for k in range(1, 6):
+        orders = _rooted_posets(k)
+        for order in orders:
+            assert all((w, w) in order and (0, w) in order for w in range(k))
+            assert all(u == v for (u, v) in order if (v, u) in order)
+            assert all((u, x) in order for (u, v) in order for (v2, x) in order if v2 == v)
+            for up in _upsets(k, order):
+                assert all(v in up for (u, v) in order if u in up)
+        assert [(o, list(u)) for o, u, _ in _frames(k)] == [(o, _upsets(k, o)) for o in orders]
+    fork, chain = _rooted_posets(3)
+    assert chain == {(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)}
+    assert fork == {(0, 0), (1, 1), (2, 2), (0, 1), (0, 2)}
+    assert len(_upsets(3, chain)) == 4
+    assert len(_upsets(3, fork)) == 5
+
+
+def _negations(depth):
+    f = Atom("p")
+    for _ in range(depth):
+        f = Neg(f)
+    return f
+
+
+def test_countermodel_search_needs_no_recursion():
+    # an even number of negations of p is equivalent to ~~p
+    s = Sequent((_negations(10_000),), Atom("p"))
+    m = countermodel(s, 2)
+    assert m == brute_countermodel(Sequent((_negations(2),), Atom("p")), 2)
+    assert len(m.worlds) == 2
+
+
+def test_forcing_needs_no_recursion():
+    f = _negations(10_001)
+    chain = KripkeModel(
+        (0, 1),
+        frozenset({(0, 0), (1, 1), (0, 1)}),
+        (frozenset(), frozenset({"p"})),
+    )
+    assert chain.forces(0, Neg(f))
+    assert not chain.forces(0, f)
+    assert not chain.forces(1, f)
+
+
+@contextmanager
+def _deadline(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_wide_search_stays_within_the_assignment_width():
+    # the one-world model makes the 23 antecedent atoms true and the
+    # succedent false: the next-to-last of 2^24 assignments.  One bitset
+    # over all of them would be 2 MB; model by model the search takes hours
+    atoms = [Atom(f"a{i:02d}") for i in range(24)]
+    s = Sequent(tuple(atoms[:23]), atoms[23])
+    tracemalloc.start()
+    try:
+        with _deadline(60):
+            m = countermodel(s, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m is not None and len(m.worlds) == 1
+    assert all(m.forces(0, f) for f in s.antecedent)
+    assert not m.forces(0, s.succedent)
+    assert peak < 1 << 20, peak
+
+
+def _names_reached(function):
+    """Every name used by the function, its nested code and the module
+    functions it names, transitively."""
+    seen, names, todo = set(), set(), [inspect.unwrap(function).__code__]
+    while todo:
+        code = todo.pop()
+        if code in seen:
+            continue
+        seen.add(code)
+        names |= {*code.co_names, *code.co_varnames, *code.co_freevars, *code.co_cellvars}
+        todo.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+        for name in code.co_names:
+            obj = inspect.unwrap(getattr(intuitionistic, name, None))
+            if inspect.isfunction(obj) and obj.__module__ == intuitionistic.__name__:
+                todo.append(obj.__code__)
+    return names
+
+
+def test_forcing_shares_no_code_with_the_search():
+    # `forces` re-checks the models the search returns, so neither may lean
+    # on the other
+    search = {"countermodel", "_frames", "_steps", "_refuted", "_upsets", "_rooted_posets"}
+    assert not _names_reached(KripkeModel.forces) & search
+    reached = _names_reached(countermodel)
+    assert {"_frames", "_steps", "_refuted"} <= reached
+    assert "forces" not in reached
 
 
 # -- cross-checking -----------------------------------------------------------
