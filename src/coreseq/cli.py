@@ -34,6 +34,7 @@ from .admissibility import (
 from .engine import DEFAULT_MEMO_CAP, Engine, Provable, ResourceLimitError
 from .intuitionistic import IntProver, cross_check, decide_int
 from .kernel import (
+    MODES,
     RULE_NAMES,
     check_derivation,
     check_rule,
@@ -156,7 +157,7 @@ def _cmd_decide(args) -> int:
 def _cmd_check(args) -> int:
     try:
         d = load_derivation(args.path)
-    except (OSError, ValueError, ParseError) as e:
+    except (OSError, ValueError) as e:
         _say(f"coreseq: cannot load derivation: {e}")
         if args.json:
             sys.stdout.write(_dump({"status": "error", "error": str(e)}))
@@ -221,7 +222,7 @@ def _cmd_repro(args) -> int:
         # eq1: the first Lewis paradox is underivable in both modes
         eq1 = parse_sequent("~A, A |- B")
         eq1_status = {}
-        for m in ("tennant", "strict-table"):
+        for m in MODES:
             res = Engine(m, memo_cap=cap).decide(eq1)
             _recheck(res, eq1, m)
             eq1_status[m] = _decision_json(res)
@@ -462,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="decide derivability of one sequent")
     p.add_argument("sequent")
-    p.add_argument("--mode", choices=("tennant", "strict-table"), default="tennant")
+    p.add_argument("--mode", choices=MODES, default="tennant")
     p.add_argument("--logic", choices=("core", "int"), default="core")
     p.add_argument("--json", action="store_true")
     p.add_argument("--emit-derivation", metavar="PATH")
@@ -470,13 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="check a derivation file")
     p.add_argument("path")
-    p.add_argument("--mode", choices=("tennant", "strict-table"), default="tennant")
+    p.add_argument("--mode", choices=MODES, default="tennant")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("repro", help="run the bundled experiment suite")
     p.add_argument("--out", default="repro-out")
-    p.add_argument("--mode", choices=("tennant", "strict-table"), default="tennant")
+    p.add_argument("--mode", choices=MODES, default="tennant")
     p.add_argument("--top", default="p -> p", help="concrete theorem used for the prefix studies")
     p.set_defaults(func=_cmd_repro)
 
@@ -484,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atoms", type=int, required=True)
     p.add_argument("--weight-cap", type=int, required=True)
     p.add_argument("--out")
-    p.add_argument("--mode", choices=("tennant", "strict-table"), default="tennant")
+    p.add_argument("--mode", choices=MODES, default="tennant")
     p.set_defaults(func=_cmd_atlas)
 
     return parser

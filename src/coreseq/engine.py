@@ -73,7 +73,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .kernel import Derivation, RULE_NAMES
+from .kernel import MODES, RULE_NAMES, Derivation
 from .syntax import (
     And,
     Atom,
@@ -338,7 +338,7 @@ class Engine:
     """
 
     def __init__(self, mode: str = "tennant", memo_cap: int = DEFAULT_MEMO_CAP):
-        if mode not in ("tennant", "strict-table"):
+        if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.memo_cap = memo_cap
@@ -861,7 +861,7 @@ def forward_closure(
     filter: the call raises ResourceLimitError exactly when the closure is
     larger.  The oracle shares no search code with the engine above.
     """
-    if mode not in ("tennant", "strict-table"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     univ = sorted(set(universe), key=formula_key)
     if not is_subformula_closed(univ):

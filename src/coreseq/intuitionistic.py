@@ -204,9 +204,30 @@ class KripkeModel:
     valuation: tuple[frozenset[str], ...]
 
     def __post_init__(self):
+        """Reject anything but a Kripke model: worlds 0..k-1 with k >= 1, one
+        valuation per world, an order that is reflexive and transitive with
+        0 below every world, and a valuation persistent along it.  O(k^3)."""
+        k = len(self.worlds)
+        if k == 0 or tuple(self.worlds) != tuple(range(k)):
+            raise ValueError(f"worlds must be 0..k-1 for some k >= 1, got {self.worlds}")
+        if len(self.valuation) != k:
+            raise ValueError(f"{k} worlds need {k} valuations, got {len(self.valuation)}")
+        worlds = range(k)
+        above: list[set[int]] = [set() for _ in worlds]
         for (u, v) in self.order:
-            if not self.valuation[u] <= self.valuation[v]:
-                raise ValueError(f"valuation is not persistent along {u} <= {v}")
+            if u not in worlds or v not in worlds:
+                raise ValueError(f"order relates ({u}, {v}) outside the worlds")
+            above[u].add(v)
+        for u, up in enumerate(above):
+            if u not in up:
+                raise ValueError(f"order is not reflexive at {u}")
+            if u not in above[0]:
+                raise ValueError(f"world 0 is not below world {u}")
+            for v in up:
+                if not above[v] <= up:
+                    raise ValueError(f"order is not transitive above {u} <= {v}")
+                if not self.valuation[u] <= self.valuation[v]:
+                    raise ValueError(f"valuation is not persistent along {u} <= {v}")
 
     def above(self, w: int) -> list[int]:
         return [v for v in self.worlds if (w, v) in self.order]

@@ -13,45 +13,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
-from .syntax import (
-    And,
-    Imp,
-    Neg,
-    Or,
-    Sequent,
-    parse_sequent,
-    print_sequent,
-)
-
-RULE_NAMES = (
-    "Ax",
-    "LNeg",
-    "RNeg",
-    "LAnd",
-    "RAnd",
-    "LOr",
-    "ROr1",
-    "ROr2",
-    "LImp",
-    "RImpA",
-    "RImpB",
-)
-
-RULE_ARITY = {
-    "Ax": 0,
-    "LNeg": 1,
-    "RNeg": 1,
-    "LAnd": 1,
-    "RAnd": 2,
-    "LOr": 2,
-    "ROr1": 1,
-    "ROr2": 1,
-    "LImp": 2,
-    "RImpA": 1,
-    "RImpB": 1,
-}
+from .syntax import And, Imp, Neg, Or, Sequent, parse_sequent, print_sequent
 
 MODES = ("tennant", "strict-table")
 
@@ -173,16 +138,15 @@ def _check_lor(c: Sequent, ps, mode):
     return Violation("lor-schema", "no disjunction in the conclusion matches the LOr schema")
 
 
-def _check_ror(which: str, c: Sequent, ps, mode):
+def _check_ror(n: int, c: Sequent, ps, mode):
     (p,) = ps
     if not isinstance(c.succedent, Or):
-        return Violation("ror-conclusion", f"{which} concludes a disjunction")
-    wanted = c.succedent.left if which == "ROr1" else c.succedent.right
+        return Violation("ror-conclusion", f"ROr{n} concludes a disjunction")
+    wanted, side = (c.succedent.left, "left") if n == 1 else (c.succedent.right, "right")
     if p.succedent != wanted:
-        side = "left" if which == "ROr1" else "right"
-        return Violation("ror-premise", f"{which} premise must conclude the {side} disjunct")
+        return Violation("ror-premise", f"ROr{n} premise must conclude the {side} disjunct")
     if p.antecedent_set() != c.antecedent_set():
-        return Violation("ror-antecedent", f"{which} premise and conclusion antecedents must agree")
+        return Violation("ror-antecedent", f"ROr{n} premise and conclusion antecedents must agree")
     return None
 
 
@@ -237,19 +201,23 @@ def _check_rimpb(c: Sequent, ps, mode):
     return None
 
 
-_RULE_CHECKS = {
-    "Ax": _check_ax,
-    "LNeg": _check_lneg,
-    "RNeg": _check_rneg,
-    "LAnd": _check_land,
-    "RAnd": _check_rand,
-    "LOr": _check_lor,
-    "ROr1": lambda c, ps, m: _check_ror("ROr1", c, ps, m),
-    "ROr2": lambda c, ps, m: _check_ror("ROr2", c, ps, m),
-    "LImp": _check_limp,
-    "RImpA": _check_rimpa,
-    "RImpB": _check_rimpb,
+# Each rule's premise count and schema check, in the order the engine
+# numbers the rules.
+_RULES = {
+    "Ax": (0, _check_ax),
+    "LNeg": (1, _check_lneg),
+    "RNeg": (1, _check_rneg),
+    "LAnd": (1, _check_land),
+    "RAnd": (2, _check_rand),
+    "LOr": (2, _check_lor),
+    "ROr1": (1, partial(_check_ror, 1)),
+    "ROr2": (1, partial(_check_ror, 2)),
+    "LImp": (2, _check_limp),
+    "RImpA": (1, _check_rimpa),
+    "RImpB": (1, _check_rimpb),
 }
+
+RULE_NAMES = tuple(_RULES)
 
 
 def check_rule(
@@ -261,14 +229,13 @@ def check_rule(
     """Check one inference step; None means the instance is valid."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if rule not in RULE_ARITY:
+    entry = _RULES.get(rule)
+    if entry is None:
         return Violation("unknown-rule", f"unknown rule {rule!r}")
-    if len(premises) != RULE_ARITY[rule]:
-        return Violation(
-            "arity",
-            f"{rule} takes {RULE_ARITY[rule]} premise(s), got {len(premises)}",
-        )
-    return _RULE_CHECKS[rule](conclusion, tuple(premises), mode)
+    arity, check = entry
+    if len(premises) != arity:
+        return Violation("arity", f"{rule} takes {arity} premise(s), got {len(premises)}")
+    return check(conclusion, tuple(premises), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +291,16 @@ def derivation_from_json(obj) -> Derivation:
         raise ValueError(f"unknown derivation node keys: {sorted(unknown)}")
     if "rule" not in obj or "conclusion" not in obj:
         raise ValueError("derivation node needs 'rule' and 'conclusion'")
-    if not isinstance(obj["rule"], str):
+    rule, conclusion, premises = obj["rule"], obj["conclusion"], obj.get("premises", [])
+    if not isinstance(rule, str):
         raise ValueError("'rule' must be a string")
-    conclusion = parse_sequent(obj["conclusion"])
-    premises = tuple(derivation_from_json(p) for p in obj.get("premises", []))
-    return Derivation(conclusion, obj["rule"], premises)
+    if not isinstance(conclusion, str):
+        raise ValueError("'conclusion' must be a string")
+    if not isinstance(premises, list):
+        raise ValueError("'premises' must be a list")
+    return Derivation(
+        parse_sequent(conclusion), rule, tuple(derivation_from_json(p) for p in premises)
+    )
 
 
 def load_derivation(path) -> Derivation:
@@ -356,143 +328,6 @@ FIXTURE_NAMES = (
 )
 
 
-def _ax(text: str) -> Derivation:
-    return Derivation(parse_sequent(text), "Ax")
-
-
-def fixture_derivations() -> dict[str, Derivation]:
-    """The bundled derivation trees, keyed by fixture name.
-
-    Schematic set variables are instantiated with the single atom ``d``
-    and the schematic theorem with ``p -> p`` carrying its own two-line
-    proof.  Every fixture is checker-valid except ``d1-full-with-ltop``,
-    whose root uses a rule outside the calculus.
-    """
-    top_proof = Derivation(parse_sequent("|- p -> p"), "RImpB", (_ax("p |- p"),))
-
-    lemma1_right = Derivation(
-        parse_sequent("d |- (p -> p) & d"),
-        "RAnd",
-        (top_proof, _ax("d |- d")),
-    )
-    lemma1_left = Derivation(
-        parse_sequent("(p -> p) & d |- d"),
-        "LAnd",
-        (_ax("d |- d"),),
-    )
-
-    contradiction1 = Derivation(
-        parse_sequent("~(d -> c), ((p -> p) & d) -> c |-"),
-        "LNeg",
-        (
-            Derivation(
-                parse_sequent("((p -> p) & d) -> c |- d -> c"),
-                "RImpB",
-                (
-                    Derivation(
-                        parse_sequent("d, ((p -> p) & d) -> c |- c"),
-                        "LImp",
-                        (
-                            Derivation(
-                                parse_sequent("d |- (p -> p) & d"),
-                                "RAnd",
-                                (top_proof, _ax("d |- d")),
-                            ),
-                            _ax("c |- c"),
-                        ),
-                    ),
-                ),
-            ),
-        ),
-    )
-
-    contradiction2 = Derivation(
-        parse_sequent("~(((p -> p) & d) -> c), d -> c |-"),
-        "LNeg",
-        (
-            Derivation(
-                parse_sequent("d -> c |- ((p -> p) & d) -> c"),
-                "RImpB",
-                (
-                    Derivation(
-                        parse_sequent("(p -> p) & d, d -> c |- c"),
-                        "LImp",
-                        (
-                            Derivation(
-                                parse_sequent("(p -> p) & d |- d"),
-                                "LAnd",
-                                (_ax("d |- d"),),
-                            ),
-                            _ax("c |- c"),
-                        ),
-                    ),
-                ),
-            ),
-        ),
-    )
-
-    d1_upper = Derivation(
-        parse_sequent("|- ~A -> (A -> B)"),
-        "RImpB",
-        (
-            Derivation(
-                parse_sequent("~A |- A -> B"),
-                "RImpA",
-                (
-                    Derivation(
-                        parse_sequent("~A, A |-"),
-                        "LNeg",
-                        (_ax("A |- A"),),
-                    ),
-                ),
-            ),
-        ),
-    )
-
-    d2 = Derivation(
-        parse_sequent("~A -> (A -> B), ~A, A |- B"),
-        "LImp",
-        (
-            Derivation(
-                parse_sequent("~A |- ~A"),
-                "RNeg",
-                (
-                    Derivation(
-                        parse_sequent("~A, A |-"),
-                        "LNeg",
-                        (_ax("A |- A"),),
-                    ),
-                ),
-            ),
-            Derivation(
-                parse_sequent("A -> B, A |- B"),
-                "LImp",
-                (_ax("A |- A"), _ax("B |- B")),
-            ),
-        ),
-    )
-
-    # d1-upper extended by a two-premise step outside the eleven-rule table,
-    # whose second premise is an unprovability claim that the judgment
-    # grammar cannot even express; it is encoded here as an unjustified
-    # leaf.  The checker must reject the root for its rule name.
-    d1_full_with_ltop = Derivation(
-        parse_sequent("~A -> (A -> B), ~A, A |- B"),
-        "LTop",
-        (d1_upper, _ax("~A, A |- B")),
-    )
-
-    return {
-        "lemma1-right": lemma1_right,
-        "lemma1-left": lemma1_left,
-        "contradiction1": contradiction1,
-        "contradiction2": contradiction2,
-        "d1-upper": d1_upper,
-        "d2": d2,
-        "d1-full-with-ltop": d1_full_with_ltop,
-    }
-
-
 def fixture_path(name: str):
     """Filesystem path of a bundled fixture file."""
     from importlib.resources import files
@@ -500,3 +335,22 @@ def fixture_path(name: str):
     if name not in FIXTURE_NAMES:
         raise KeyError(f"unknown fixture {name!r}")
     return files("coreseq").joinpath("fixtures").joinpath(f"{name}.json")
+
+
+def fixture_derivations() -> dict[str, Derivation]:
+    """The bundled derivation trees, keyed by fixture name, loaded from the
+    package's fixture files, which are their only copy.
+
+    Schematic set variables are instantiated with the single atom ``d``
+    and the schematic theorem with ``p -> p`` carrying its own two-line
+    proof.  Every fixture is checker-valid except ``d1-full-with-ltop``:
+    it extends ``d1-upper`` by a two-premise step outside the eleven-rule
+    table, whose second premise is an unprovability claim that the
+    judgment grammar cannot even express, so it is encoded as the
+    unjustified leaf ``~A, A |- B``.  The checker must reject the root for
+    its rule name.
+    """
+    return {
+        name: derivation_from_json(json.loads(fixture_path(name).read_text(encoding="utf-8")))
+        for name in FIXTURE_NAMES
+    }

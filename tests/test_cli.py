@@ -121,6 +121,16 @@ def test_check_malformed_file(capsys, tmp_path):
     missing = tmp_path / "absent.json"
     code, _, _ = run(capsys, "check", str(missing))
     assert code == 2
+    for text in (
+        '{"rule": "Ax", "conclusion": "p |- p", "premises": 5}',
+        '{"rule": "Ax", "conclusion": 5, "premises": []}',
+        '{"rule": "Ax", "conclusion": "p |- p", "premises": null}',
+    ):
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "check", str(bad), "--json")
+        assert code == 2, text
+        assert "cannot load derivation" in err
+        assert json.loads(out)["status"] == "error"
 
 
 def test_check_unknown_keys_rejected(capsys, tmp_path):

@@ -148,6 +148,21 @@ def test_persistence_is_validated():
             frozenset({(0, 0), (1, 1), (0, 1)}),
             (frozenset({"p"}), frozenset()),
         )
+    # without reflexivity one world would force a contradiction
+    with pytest.raises(ValueError, match="reflexive"):
+        KripkeModel((0,), frozenset(), (frozenset({"p"}),)).forces(0, F("p & ~p"))
+    reflexive = {(w, w) for w in range(4)}
+    for worlds, order, n_valuations, problem in [
+        # 1 <= 2 <= 3 without 1 <= 3
+        ((0, 1, 2, 3), reflexive | {(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)}, 4, "transitive"),
+        ((0, 1), {(0, 0), (1, 1)}, 2, "world 0 is not below"),
+        ((1,), {(1, 1)}, 1, "worlds must be"),
+        ((), set(), 0, "worlds must be"),
+        ((0,), {(0, 0)}, 0, "valuations"),
+        ((0,), {(0, 0), (0, 1)}, 1, "outside the worlds"),
+    ]:
+        with pytest.raises(ValueError, match=problem):
+            KripkeModel(worlds, frozenset(order), (frozenset(),) * n_valuations)
 
 
 def test_forcing_of_conditionals_quantifies_over_later_worlds():

@@ -1,5 +1,11 @@
+import ast
+import sys
+from pathlib import Path
+
 import pytest
 
+import coreseq.engine
+import coreseq.kernel
 from coreseq import (
     Atom,
     Derivation,
@@ -13,9 +19,10 @@ from coreseq import (
     fixture_derivations,
     fixture_path,
     height,
-    load_derivation,
     parse_sequent,
+    save_derivation,
 )
+from coreseq.kernel import FIXTURE_NAMES
 
 S = parse_sequent
 A, B = Atom("A"), Atom("B")
@@ -48,6 +55,23 @@ def test_arity_violations():
     assert check_rule(S("p |- p"), "Ax", [S("p |- p")]).clause == "arity"
     assert check_rule(S("p & q |- p"), "LAnd", []).clause == "arity"
     assert check_rule(S("p |- p & p"), "RAnd", [S("p |- p")]).clause == "arity"
+    # one premise too many for every rule, and one too few wherever it takes any
+    arities = {"Ax": 0, "LNeg": 1, "RNeg": 1, "LAnd": 1, "RAnd": 2, "LOr": 2,
+               "ROr1": 1, "ROr2": 1, "LImp": 2, "RImpA": 1, "RImpB": 1}
+    assert set(arities) == set(RULE_NAMES)
+    goal, premise = S("p, q |- p & q"), S("p |- p")
+    for rule, arity in arities.items():
+        counts = (arity + 1, arity - 1) if arity else (arity + 1,)
+        for n in counts:
+            v = check_rule(goal, rule, [premise] * n)
+            assert v is not None and v.clause == "arity", (rule, n)
+            assert v.message == f"{rule} takes {arity} premise(s), got {n}"
+
+
+def test_rule_table_follows_the_engine_numbering():
+    assert len(RULE_NAMES) == 11
+    for i, rule in enumerate(RULE_NAMES):
+        assert getattr(coreseq.engine, "_" + rule.upper()) == i, rule
 
 
 def test_axiom_needs_singleton_antecedent():
@@ -154,6 +178,9 @@ def test_fixture_conclusions():
     assert fx["contradiction2"].conclusion == S("~(((p -> p) & d) -> c), d -> c |-")
     assert fx["d1-upper"].conclusion == S("|- ~A -> (A -> B)")
     assert fx["d2"].conclusion == S("~A -> (A -> B), ~A, A |- B")
+    assert fx["d1-full-with-ltop"].conclusion == S("~A -> (A -> B), ~A, A |- B")
+    assert fx["d1-full-with-ltop"].premises[0] == fx["d1-upper"]
+    assert fx["d1-full-with-ltop"].premises[1] == Derivation(S("~A, A |- B"), "Ax")
 
 
 def test_ltop_fixture_rejected_at_root():
@@ -181,10 +208,15 @@ def test_violation_path_points_at_offending_node():
 def test_heights():
     fx = fixture_derivations()
     assert height(Derivation(S("p |- p"), "Ax")) == 0
-    assert height(fx["d1-upper"]) == 3
-    assert height(fx["d2"]) == 3
-    assert height(fx["lemma1-right"]) == 2
-    assert height(fx["contradiction1"]) == 5
+    assert {name: height(d) for name, d in fx.items()} == {
+        "lemma1-right": 2,
+        "lemma1-left": 1,
+        "contradiction1": 5,
+        "contradiction2": 4,
+        "d1-upper": 3,
+        "d2": 3,
+        "d1-full-with-ltop": 4,
+    }
 
 
 def test_height_equals_max_leaf_depth():
@@ -276,6 +308,12 @@ def test_json_requires_rule_and_conclusion():
         derivation_from_json({"rule": 3, "conclusion": "p |- p", "premises": []})
     with pytest.raises(ValueError):
         derivation_from_json(["Ax"])
+    with pytest.raises(ValueError, match="'premises' must be a list"):
+        derivation_from_json({"rule": "Ax", "conclusion": "p |- p", "premises": 5})
+    with pytest.raises(ValueError, match="'premises' must be a list"):
+        derivation_from_json({"rule": "Ax", "conclusion": "p |- p", "premises": None})
+    with pytest.raises(ValueError, match="'conclusion' must be a string"):
+        derivation_from_json({"rule": "Ax", "conclusion": 5, "premises": []})
 
 
 def test_json_accepts_unknown_rule_names_for_checking():
@@ -284,8 +322,26 @@ def test_json_accepts_unknown_rule_names_for_checking():
     assert v is not None and v.clause == "unknown-rule"
 
 
-def test_fixture_files_match_programmatic_trees():
+def test_fixture_files_are_canonical_and_complete(tmp_path):
     fx = fixture_derivations()
+    assert tuple(fx) == FIXTURE_NAMES
     for name, d in fx.items():
-        on_disk = load_derivation(str(fixture_path(name)))
-        assert on_disk == d, name
+        written = tmp_path / f"{name}.json"
+        save_derivation(d, written)
+        assert written.read_bytes() == fixture_path(name).read_bytes(), name
+
+
+def test_kernel_imports_only_the_standard_library_and_syntax():
+    tree = ast.parse(Path(coreseq.kernel.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                assert (node.level, node.module) == (1, "syntax"), ast.unparse(node)
+                continue
+            roots = [node.module.split(".")[0]]
+        else:
+            continue
+        for root in roots:
+            assert root in sys.stdlib_module_names, ast.unparse(node)
