@@ -119,11 +119,11 @@ def test_admissibility(
     transform: RuleTransform,
     universe: Iterable[Formula],
     weight_cap: int,
-    mode: str = "tennant",
+    *,
     engine: Optional[Engine] = None,
 ) -> AdmissibilityVerdict:
     """Test one transform over every provable sequent in the bounded family."""
-    eng = engine or Engine(mode)
+    eng = engine or Engine()
     pool = sorted(set(universe), key=formula_key)
     family = sequent_family(pool, weight_cap)
 
@@ -154,7 +154,7 @@ def test_admissibility(
     return AdmissibilityVerdict(
         rule=transform.name,
         universe=describe_universe(pool, weight_cap),
-        mode=mode,
+        mode=eng.mode,
         status=status,
         witnesses=witnesses,
         sequents_tested=len(family),
@@ -213,12 +213,7 @@ class TopEquivalenceReport:
         }
 
 
-def top_equivalence_study(
-    delta: Formula,
-    top: Formula,
-    mode: str = "tennant",
-    engine: Optional[Engine] = None,
-) -> TopEquivalenceReport:
+def top_equivalence_study(delta: Formula, top: Formula, *, engine: Optional[Engine] = None) -> TopEquivalenceReport:
     """Contrast the conjunction equivalence with the two-element set reading.
 
     `top` must be a theorem (derivable with empty antecedent); the study
@@ -226,7 +221,7 @@ def top_equivalence_study(
     third query top, delta |- delta, whose status shows whether prefixing
     the theorem as a separate set member preserves derivability.
     """
-    eng = engine or Engine(mode)
+    eng = engine or Engine()
     if eng.min_height(Sequent((), top)) is None:
         raise ValueError(f"{print_formula(top)} is not a theorem (|- {print_formula(top)} is underivable)")
 
@@ -240,5 +235,5 @@ def top_equivalence_study(
         conjunction_intro=query(Sequent((delta,), And(top, delta))),
         conjunction_elim=query(Sequent((And(top, delta),), delta)),
         set_form=query(Sequent((top, delta), delta)),
-        mode=mode,
+        mode=eng.mode,
     )

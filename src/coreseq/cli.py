@@ -32,7 +32,7 @@ from .admissibility import (
     weakening_transform,
 )
 from .engine import DEFAULT_MEMO_CAP, Engine, Provable, ResourceLimitError
-from .intuitionistic import IntProver, cross_check, decide_int
+from .intuitionistic import cross_check, decide_int
 from .kernel import (
     MODES,
     RULE_NAMES,
@@ -52,7 +52,6 @@ from .syntax import (
     parse_formula,
     parse_sequent,
     print_sequent,
-    sequent_family,
     sequent_weight,
 )
 
@@ -66,7 +65,7 @@ def _memo_cap() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"coreseq: invalid CORESEQ_MEMO_CAP {raw!r}")
+        raise ValueError(f"invalid CORESEQ_MEMO_CAP {raw!r}") from None
 
 
 def _say(msg: str) -> None:
@@ -131,12 +130,12 @@ def _cmd_decide(args) -> int:
         if args.json:
             sys.stdout.write(_dump({"status": "resource-limit", "error": str(e)}))
         return 2
+    if isinstance(result, Provable) and args.emit_derivation:
+        save_derivation(result.derivation, args.emit_derivation)
+        _say(f"derivation written to {args.emit_derivation}")
     if args.json:
         sys.stdout.write(_dump(_decision_json(result)))
     if isinstance(result, Provable):
-        if args.emit_derivation:
-            save_derivation(result.derivation, args.emit_derivation)
-            _say(f"derivation written to {args.emit_derivation}")
         _say(f"{print_sequent(goal)}: provable, minimal height {result.min_height}")
         return 0
     cv = result.countervaluation
@@ -303,7 +302,7 @@ def _cmd_repro(args) -> int:
             v = check_derivation(fixtures[name], mode)
             if v is not None:
                 raise _InternalDisagreement(f"bundled {name} fixture rejected: {v.message}")
-        study = top_equivalence_study(Atom("q"), top, mode=mode, engine=shared)
+        study = top_equivalence_study(Atom("q"), top, engine=shared)
         study_path = out / "lemma1-study.json"
         study_path.write_text(_dump(study.to_json()), encoding="utf-8")
         add({
@@ -327,7 +326,7 @@ def _cmd_repro(args) -> int:
 
         # prefixing a theorem on the left, tested over a bounded family
         ltop_universe = formula_universe(("p", "q"), 5)
-        verdict = test_admissibility(l_top_transform(top), ltop_universe, 5, mode=mode, engine=shared)
+        verdict = test_admissibility(l_top_transform(top), ltop_universe, 5, engine=shared)
         ltop_path = out / "ltop-verdict.json"
         ltop_path.write_text(_dump(verdict.to_json()), encoding="utf-8")
         add({
@@ -353,7 +352,7 @@ def _cmd_repro(args) -> int:
         res_wk = shared.decide(wk_conclusion)
         _recheck(res_wk, wk_conclusion, mode)
         wk_verdict = test_admissibility(
-            weakening_transform(Atom("q")), formula_universe(("p", "q"), 2), 4, mode=mode, engine=shared
+            weakening_transform(Atom("q")), formula_universe(("p", "q"), 2), 4, engine=shared
         )
         wk_path = out / "weakening-verdict.json"
         wk_path.write_text(_dump(wk_verdict.to_json()), encoding="utf-8")
@@ -369,7 +368,7 @@ def _cmd_repro(args) -> int:
 
         # oracle cross-check over the standard small family
         universe = [parse_formula(t) for t in ("p", "q", "~p", "~q", "p & q", "p | q", "p -> q", "q -> p", "p -> p")]
-        cc = cross_check(universe, 6, mode=mode, engine=shared)
+        cc = cross_check(universe, 6, engine=shared)
         cc_path = out / "crosscheck.json"
         cc_path.write_text(_dump(cc.to_json()), encoding="utf-8")
         if cc.violations:
@@ -405,50 +404,33 @@ def _cmd_atlas(args) -> int:
     if args.atoms < 1 or args.atoms > len(_ATOM_SUPPLY):
         _say(f"coreseq: --atoms must be between 1 and {len(_ATOM_SUPPLY)}")
         return 2
-    atoms = _ATOM_SUPPLY[: args.atoms]
-    universe = formula_universe(atoms, args.weight_cap)
-    family = sequent_family(universe, args.weight_cap)
-    engine = Engine(args.mode, memo_cap=_memo_cap())
-    prover = IntProver()
-
-    def row(s: Sequent) -> tuple:
-        h = engine.min_height(s)
-        iok = prover.decide(s)
-        core = "provable" if h is not None else "unprovable"
-        intu = "provable" if iok else "unprovable"
-        divergence = iok and h is None
-        return (
-            print_sequent(s),
-            sequent_weight(s),
-            core,
-            "" if h is None else h,
-            intu,
-            "yes" if divergence else "",
-        )
-
+    universe = formula_universe(_ATOM_SUPPLY[: args.atoms], args.weight_cap)
     try:
-        rows = [row(s) for s in family]
+        cc = cross_check(universe, args.weight_cap, engine=Engine(args.mode, memo_cap=_memo_cap()))
     except ResourceLimitError as e:
         _say(f"coreseq: resource limit, no output written: {e}")
         return 2
 
+    def verdict(ok: bool) -> str:
+        return "provable" if ok else "unprovable"
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["sequent", "weight", "core", "core_min_height", "int", "divergence"])
-    writer.writerows(rows)
+    writer.writerows(
+        (print_sequent(s), sequent_weight(s), verdict(h is not None), "" if h is None else h,
+         verdict(int_ok), "yes" if int_ok and h is None else "")
+        for s, h, int_ok in cc.rows
+    )
     text = buffer.getvalue()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-
-    total = len(rows)
-    core_n = sum(1 for r in rows if r[2] == "provable")
-    int_n = sum(1 for r in rows if r[4] == "provable")
-    div_n = sum(1 for r in rows if r[5] == "yes")
     _say(
-        f"atlas: {total} sequents over {args.atoms} atoms (weight cap {args.weight_cap}); "
-        f"core-provable {core_n}, intuitionistically provable {int_n}, divergences {div_n}"
+        f"atlas: {cc.total} sequents over {args.atoms} atoms (weight cap {args.weight_cap}); "
+        f"core-provable {cc.core_provable}, intuitionistically provable {cc.int_provable}, "
+        f"divergences {len(cc.divergences)}"
     )
     return 0
 
@@ -463,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="decide derivability of one sequent")
     p.add_argument("sequent")
-    p.add_argument("--mode", choices=MODES, default="tennant")
+    p.add_argument("--mode", choices=MODES, default=MODES[0])
     p.add_argument("--logic", choices=("core", "int"), default="core")
     p.add_argument("--json", action="store_true")
     p.add_argument("--emit-derivation", metavar="PATH")
@@ -471,13 +453,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="check a derivation file")
     p.add_argument("path")
-    p.add_argument("--mode", choices=MODES, default="tennant")
+    p.add_argument("--mode", choices=MODES, default=MODES[0])
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("repro", help="run the bundled experiment suite")
     p.add_argument("--out", default="repro-out")
-    p.add_argument("--mode", choices=MODES, default="tennant")
+    p.add_argument("--mode", choices=MODES, default=MODES[0])
     p.add_argument("--top", default="p -> p", help="concrete theorem used for the prefix studies")
     p.set_defaults(func=_cmd_repro)
 
@@ -485,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atoms", type=int, required=True)
     p.add_argument("--weight-cap", type=int, required=True)
     p.add_argument("--out")
-    p.add_argument("--mode", choices=MODES, default="tennant")
+    p.add_argument("--mode", choices=MODES, default=MODES[0])
     p.set_defaults(func=_cmd_atlas)
 
     return parser
@@ -495,14 +477,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as e:
-        _say(f"coreseq: parse error: {e}")
-        return 2
     except RecursionError:
-        _say("coreseq: input nested too deeply")
-        if getattr(args, "json", False):
-            sys.stdout.write(_dump({"status": "error", "error": "input nested too deeply"}))
-        return 2
+        error = "input nested too deeply"
+    except ParseError as e:
+        error = f"parse error: {e}"
+    except (OSError, ValueError) as e:
+        # unwritable outputs, a malformed CORESEQ_MEMO_CAP, a --top that is
+        # not a theorem
+        error = str(e)
+    _say(f"coreseq: {error}")
+    if getattr(args, "json", False):
+        sys.stdout.write(_dump({"status": "error", "error": error}))
+    return 2
 
 
 if __name__ == "__main__":

@@ -337,7 +337,7 @@ class Engine:
     Not thread-safe: one instance serves one thread, and its caller owns it.
     """
 
-    def __init__(self, mode: str = "tennant", memo_cap: int = DEFAULT_MEMO_CAP):
+    def __init__(self, mode: str = MODES[0], memo_cap: int = DEFAULT_MEMO_CAP):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
@@ -769,7 +769,7 @@ class Engine:
         )
 
 
-def backward_instances(goal: Sequent, mode: str = "tennant") -> list[tuple[str, tuple[Sequent, ...]]]:
+def backward_instances(goal: Sequent, mode: str = MODES[0]) -> list[tuple[str, tuple[Sequent, ...]]]:
     """Every rule instance concluding `goal`, as (rule, premises) pairs."""
     eng = Engine(mode)
     g = eng._intern_goal(goal)
@@ -779,23 +779,19 @@ def backward_instances(goal: Sequent, mode: str = "tennant") -> list[tuple[str, 
     ]
 
 
-def decide(goal: Sequent, mode: str = "tennant", memo_cap: int = DEFAULT_MEMO_CAP) -> DecisionResult:
+def decide(goal: Sequent, mode: str = MODES[0], memo_cap: int = DEFAULT_MEMO_CAP) -> DecisionResult:
     """Decide one sequent with a fresh engine."""
     return Engine(mode, memo_cap).decide(goal)
 
 
-def provable_subsequents(
-    s: Sequent,
-    mode: str = "tennant",
-    engine: Optional[Engine] = None,
-) -> list[tuple[Sequent, DecisionResult]]:
+def provable_subsequents(s: Sequent, *, engine: Optional[Engine] = None) -> list[tuple[Sequent, DecisionResult]]:
     """Decide every subsequent (antecedent subset, original-or-absurd succedent).
 
     Returns the provable ones, sorted by weight then canonical text.
     """
     if len(s.antecedent) > 12:
         raise ValueError("antecedent too large for exhaustive subsequent analysis (max 12)")
-    eng = engine or Engine(mode)
+    eng = engine or Engine()
     succedents: list = [s.succedent]
     if s.succedent is not None:
         succedents.append(None)
@@ -821,7 +817,7 @@ def provable_subsequents(
 def forward_closure(
     universe: Iterable[Formula],
     weight_cap: int,
-    mode: str = "tennant",
+    mode: str = MODES[0],
     max_size: int = 1_000_000,
 ) -> frozenset[Sequent]:
     """Saturate the derivable sequents over a fixed formula universe.

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import permutations, product
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .engine import Engine
 from .syntax import (
@@ -487,6 +487,13 @@ def countermodel(s: Sequent, max_worlds: int) -> Optional[KripkeModel]:
 # Cross-checking the Core engine against the oracle
 
 
+def _compare(goals: Iterable[Sequent], engine: Engine, prover: IntProver) -> Iterator[tuple[Sequent, Optional[int], bool]]:
+    """Each goal, in order, with its Core minimal height (None when
+    underivable) and its intuitionistic verdict."""
+    for s in goals:
+        yield s, engine.min_height(s), prover.decide(s)
+
+
 @dataclass
 class CrossCheckReport:
     universe_size: int
@@ -499,6 +506,9 @@ class CrossCheckReport:
     divergences: list[Sequent] = field(default_factory=list)
     empty_antecedent_total: int = 0
     theorem_disagreements: list[Sequent] = field(default_factory=list)
+    # (sequent, Core minimal height or None, intuitionistic verdict) per
+    # family member, in family order; not part of the JSON form
+    rows: list[tuple[Sequent, Optional[int], bool]] = field(default_factory=list, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -518,7 +528,7 @@ class CrossCheckReport:
 def cross_check(
     universe: Iterable[Formula],
     weight_cap: int,
-    mode: str = "tennant",
+    *,
     engine: Optional[Engine] = None,
     prover: Optional[IntProver] = None,
 ) -> CrossCheckReport:
@@ -529,20 +539,20 @@ def cross_check(
     the intuitionistially provable sequents Core rejects.  Empty-antecedent
     sequents are additionally held to exact agreement.
     """
-    eng = engine or Engine(mode)
-    prv = prover or IntProver()
-    family = sequent_family(universe, weight_cap)
-    results = [(eng.is_provable(s), prv.decide(s)) for s in family]
-
+    eng = engine or Engine()
+    pool = list(universe)
+    rows = list(_compare(sequent_family(pool, weight_cap), eng, prover or IntProver()))
     report = CrossCheckReport(
-        universe_size=len(set(universe)),
+        universe_size=len(set(pool)),
         weight_cap=weight_cap,
-        mode=mode,
-        total=len(family),
-        core_provable=sum(1 for c, _ in results if c),
-        int_provable=sum(1 for _, i in results if i),
+        mode=eng.mode,
+        total=len(rows),
+        core_provable=sum(h is not None for _, h, _ in rows),
+        int_provable=sum(int_ok for _, _, int_ok in rows),
+        rows=rows,
     )
-    for s, (core_ok, int_ok) in zip(family, results):
+    for s, h, int_ok in rows:
+        core_ok = h is not None
         if core_ok and not int_ok:
             report.violations.append(s)
         if int_ok and not core_ok:
@@ -579,7 +589,7 @@ class TheoremhoodReport:
 def theoremhood_report(
     atoms: Iterable[str],
     max_weight: int,
-    mode: str = "tennant",
+    *,
     engine: Optional[Engine] = None,
     prover: Optional[IntProver] = None,
 ) -> TheoremhoodReport:
@@ -589,16 +599,13 @@ def theoremhood_report(
     the formula weight bound and records any disagreement.
     """
     names = tuple(sorted(set(atoms)))
-    eng = engine or Engine(mode)
-    prv = prover or IntProver()
+    eng = engine or Engine()
     pool = formula_universe(names, max_weight)
-    report = TheoremhoodReport(names, max_weight, mode, len(pool), 0, 0)
-    for f in pool:
-        s = Sequent((), f)
-        core_ok = eng.is_provable(s)
-        int_ok = prv.decide(s)
+    report = TheoremhoodReport(names, max_weight, eng.mode, len(pool), 0, 0)
+    for s, h, int_ok in _compare((Sequent((), f) for f in pool), eng, prover or IntProver()):
+        core_ok = h is not None
         report.core_theorems += core_ok
         report.int_theorems += int_ok
         if core_ok != int_ok:
-            report.disagreements.append(f)
+            report.disagreements.append(s.succedent)
     return report

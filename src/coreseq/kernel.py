@@ -224,7 +224,7 @@ def check_rule(
     conclusion: Sequent,
     rule: str,
     premises: Sequence[Sequent],
-    mode: str = "tennant",
+    mode: str = MODES[0],
 ) -> Violation | None:
     """Check one inference step; None means the instance is valid."""
     if mode not in MODES:
@@ -256,7 +256,7 @@ def height(d: Derivation) -> int:
     return 1 + max(height(p) for p in d.premises)
 
 
-def check_derivation(d: Derivation, mode: str = "tennant") -> Violation | None:
+def check_derivation(d: Derivation, mode: str = MODES[0]) -> Violation | None:
     """Depth-first check of every node; reports the first failure with its path."""
     stack: list[tuple[Derivation, tuple[int, ...]]] = [(d, ())]
     while stack:

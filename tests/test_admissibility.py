@@ -1,5 +1,10 @@
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 
+import coreseq
 from coreseq import (
     Atom,
     Engine,
@@ -9,6 +14,7 @@ from coreseq import (
     parse_formula,
     parse_sequent,
     print_sequent,
+    provable_subsequents,
     weakening_transform,
 )
 from coreseq.admissibility import (
@@ -17,6 +23,7 @@ from coreseq.admissibility import (
     test_admissibility as run_admissibility,
     top_equivalence_study,
 )
+from coreseq.kernel import MODES
 
 S = parse_sequent
 F = parse_formula
@@ -77,12 +84,36 @@ def test_verdict_never_upgrades_as_universe_grows():
 
 
 def test_theorem_prefix_verdict_mode_independent():
-    for mode in ("tennant", "strict-table"):
+    for mode in MODES:
         verdict = run_admissibility(
-            l_top_transform(TOP), formula_universe(["p", "q"], 3), 3, mode=mode
+            l_top_transform(TOP), formula_universe(["p", "q"], 3), 3, engine=Engine(mode)
         )
+        assert verdict.mode == mode
         assert verdict.status == NOT_ADMISSIBLE
         assert print_sequent(verdict.witnesses[0].premise) == "q |- q"
+
+
+def test_no_public_callable_takes_both_mode_and_engine():
+    """An experiment is configured by its engine alone, so its report can
+    only name the mode that engine decided in."""
+    checked = []
+    for info in pkgutil.iter_modules(coreseq.__path__):
+        module = importlib.import_module(f"coreseq.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not callable(obj) or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [obj]
+            if inspect.isclass(obj):
+                members += [m for n, m in vars(obj).items() if not n.startswith("_") and inspect.isfunction(m)]
+            for member in members:
+                try:
+                    params = inspect.signature(member).parameters
+                except (TypeError, ValueError):
+                    continue
+                assert not {"mode", "engine"} <= set(params), f"{module.__name__}.{name}"
+                checked.append(member)
+    experiments = {run_admissibility, top_equivalence_study, provable_subsequents}
+    assert experiments | {coreseq.cross_check, coreseq.theoremhood_report} <= set(checked)
 
 
 def test_verdict_json_carries_cli_invocations():
@@ -108,6 +139,11 @@ def test_study_degenerate_self_case():
     assert report.conjunction_intro[0] is True
     assert report.conjunction_elim[0] is True
     assert report.set_form[0] is True
+
+
+def test_study_reports_its_engines_mode():
+    report = top_equivalence_study(Atom("q"), TOP, engine=Engine("strict-table"))
+    assert report.mode == report.to_json()["mode"] == "strict-table"
 
 
 def test_study_requires_a_theorem():

@@ -1,8 +1,10 @@
+import csv
+import io
 import json
 
 import pytest
 
-from coreseq import fixture_path, load_derivation, parse_sequent
+from coreseq import Engine, cross_check, fixture_path, formula_universe, load_derivation, parse_sequent, print_sequent
 from coreseq.cli import main
 
 
@@ -233,6 +235,27 @@ def test_atlas_deterministic_row_counts(capsys, tmp_path):
     assert t1.read_bytes() == t2.read_bytes()
 
 
+def test_atlas_rows_and_counts_match_cross_check(capsys, tmp_path):
+    target = tmp_path / "atlas.csv"
+    code, _, err = run(
+        capsys, "atlas", "--atoms", "2", "--weight-cap", "5", "--mode", "strict-table", "--out", str(target)
+    )
+    assert code == 0
+    cc = cross_check(formula_universe(["p", "q"], 5), 5, engine=Engine("strict-table"))
+    rows = list(csv.reader(io.StringIO(target.read_text())))[1:]
+    assert len(rows) == cc.total
+    assert [(r[0], r[2], r[3], r[4]) for r in rows] == [
+        (print_sequent(s), "unprovable" if h is None else "provable", "" if h is None else str(h),
+         "provable" if int_ok else "unprovable")
+        for s, h, int_ok in cc.rows
+    ]
+    assert [r[0] for r in rows if r[5] == "yes"] == [print_sequent(s) for s in cc.divergences]
+    assert err == (
+        f"atlas: {cc.total} sequents over 2 atoms (weight cap 5); core-provable {cc.core_provable}, "
+        f"intuitionistically provable {cc.int_provable}, divergences {len(cc.divergences)}\n"
+    )
+
+
 def test_atlas_rejects_workers_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["atlas", "--atoms", "2", "--weight-cap", "4", "--workers", "2"])
@@ -242,3 +265,41 @@ def test_atlas_rejects_workers_flag(capsys):
 def test_atlas_rejects_bad_atom_count(capsys):
     code, _, _ = run(capsys, "atlas", "--atoms", "0", "--weight-cap", "3")
     assert code == 2
+
+
+# -- errors outside the query ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["decide", "p |- p", "--emit-derivation", "{tmp}/missing/x.json"], None, "No such file"),
+        (["atlas", "--atoms", "1", "--weight-cap", "2", "--out", "{tmp}/missing/x.csv"], None, "No such file"),
+        (["repro", "--out", "{tmp}/file/sub"], None, "Not a directory"),
+        (["decide", "p |- p"], "abc", "invalid CORESEQ_MEMO_CAP 'abc'"),
+        (["repro", "--top", "p", "--out", "{tmp}/r"], None, "p is not a theorem"),
+    ],
+    ids=["decide-emit-derivation", "atlas-out", "repro-out", "memo-cap", "repro-top"],
+)
+def test_errors_outside_the_query_exit_2(capsys, monkeypatch, tmp_path, argv, env, message):
+    (tmp_path / "file").write_text("")
+    if env is not None:
+        monkeypatch.setenv("CORESEQ_MEMO_CAP", env)
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("coreseq: ") and message in err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_failed_write_prints_only_the_error_object(capsys, monkeypatch, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, _ = run(capsys, "decide", "p |- p", "--json", "--emit-derivation", str(target))
+    assert code == 2
+    blob = json.loads(out)
+    assert blob["status"] == "error" and str(target) in blob["error"]
+    monkeypatch.setenv("CORESEQ_MEMO_CAP", "abc")
+    code, out, _ = run(capsys, "decide", "p |- p", "--json")
+    assert code == 2
+    assert json.loads(out) == {"status": "error", "error": "invalid CORESEQ_MEMO_CAP 'abc'"}

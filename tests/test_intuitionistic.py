@@ -367,6 +367,19 @@ def test_cross_check_tiny_universe_has_no_divergence():
     assert report.divergences == []
 
 
+def test_cross_check_reads_a_one_shot_universe_once():
+    once = cross_check(iter(_universe()), 4)
+    assert once.universe_size == len(_universe())
+    assert once.to_json() == cross_check(_universe(), 4).to_json()
+
+
+def test_comparisons_report_their_engines_mode():
+    report = cross_check(_universe(), 4, engine=Engine("strict-table"))
+    assert report.mode == "strict-table"
+    assert [s for s, h, i in report.rows if i and h is None] == report.divergences
+    assert theoremhood_report(["p"], 3, engine=Engine("strict-table")).mode == "strict-table"
+
+
 def test_theoremhood_agreement_small():
     report = theoremhood_report(["p", "q"], 5)
     assert report.disagreements == []
