@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -34,6 +35,7 @@ from .admissibility import (
 from .engine import DEFAULT_MEMO_CAP, Engine, Provable, ResourceLimitError
 from .intuitionistic import cross_check, decide_int
 from .kernel import (
+    FIXTURE_NAMES,
     MODES,
     RULE_NAMES,
     check_derivation,
@@ -76,24 +78,15 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _stats_json(stats) -> dict:
-    return {
-        "goals_expanded": stats.goals_expanded,
-        "distinct_goals": stats.distinct_goals,
-        "max_weight_seen": stats.max_weight_seen,
-        "mode": stats.mode,
-    }
-
-
 def _decision_json(result) -> dict:
     if isinstance(result, Provable):
         return {
             "status": "provable",
             "min_height": result.min_height,
             "derivation": derivation_to_json(result.derivation),
-            "stats": _stats_json(result.stats),
+            "stats": dataclasses.asdict(result.stats),
         }
-    out = {"status": "unprovable", "stats": _stats_json(result.certificate)}
+    out = {"status": "unprovable", "stats": dataclasses.asdict(result.certificate)}
     if result.countervaluation is not None:
         out["countervaluation"] = dict(result.countervaluation)
     return out
@@ -104,14 +97,7 @@ def _decision_json(result) -> dict:
 
 
 def _cmd_decide(args) -> int:
-    try:
-        goal = parse_sequent(args.sequent)
-    except ParseError as e:
-        _say(f"coreseq: parse error: {e}")
-        if args.json:
-            sys.stdout.write(_dump({"status": "error", "error": str(e), "position": e.position}))
-        return 2
-
+    goal = parse_sequent(args.sequent)
     if args.logic == "int":
         if args.emit_derivation:
             _say("coreseq: --emit-derivation is only available for core logic")
@@ -122,14 +108,7 @@ def _cmd_decide(args) -> int:
         _say(f"{print_sequent(goal)}: {'intuitionistically provable' if ok else 'intuitionistically unprovable'}")
         return 0 if ok else 1
 
-    engine = Engine(args.mode, memo_cap=_memo_cap())
-    try:
-        result = engine.decide(goal)
-    except ResourceLimitError as e:
-        _say(f"coreseq: resource limit: {e}")
-        if args.json:
-            sys.stdout.write(_dump({"status": "resource-limit", "error": str(e)}))
-        return 2
+    result = Engine(args.mode, memo_cap=_memo_cap()).decide(goal)
     if isinstance(result, Provable) and args.emit_derivation:
         save_derivation(result.derivation, args.emit_derivation)
         _say(f"derivation written to {args.emit_derivation}")
@@ -201,23 +180,26 @@ def _recheck(result, goal: Sequent, mode: str):
 
 
 def _cmd_repro(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     mode = args.mode
     top = parse_formula(args.top)
     cap = _memo_cap()
 
     fixtures = fixture_derivations()
-    report: dict = {"version": __version__, "mode": mode, "top": args.top, "items": []}
-    items = report["items"]
-
-    def add(item: dict) -> None:
-        items.append(item)
+    items: list = []
+    # evidence file name -> JSON object; nothing is written until every item
+    # is decided, so a failed run leaves no partial evidence
+    evidence: dict = {}
 
     def fresh() -> Engine:
         return Engine(mode, memo_cap=cap)
 
     try:
+        # every bundled tree is checker-valid except the extended d1
+        for name in FIXTURE_NAMES:
+            v = check_derivation(fixtures[name], mode)
+            if v is not None and name != "d1-full-with-ltop":
+                raise _InternalDisagreement(f"bundled {name} fixture rejected: {v.message}")
+
         # eq1: the first Lewis paradox is underivable in both modes
         eq1 = parse_sequent("~A, A |- B")
         eq1_status = {}
@@ -225,7 +207,7 @@ def _cmd_repro(args) -> int:
             res = Engine(m, memo_cap=cap).decide(eq1)
             _recheck(res, eq1, m)
             eq1_status[m] = _decision_json(res)
-        add({
+        items.append({
             "id": "eq1",
             "query": print_sequent(eq1),
             "status": "unprovable" if all(v["status"] == "unprovable" for v in eq1_status.values()) else "provable",
@@ -236,22 +218,21 @@ def _cmd_repro(args) -> int:
         eq2 = parse_sequent("|- ~A -> (A -> B)")
         res2 = fresh().decide(eq2)
         _recheck(res2, eq2, mode)
-        eq2_path = out / "eq2-derivation.json"
         if isinstance(res2, Provable):
-            save_derivation(res2.derivation, eq2_path)
-        add({
+            evidence["eq2-derivation.json"] = derivation_to_json(res2.derivation)
+        items.append({
             "id": "eq2",
             "query": print_sequent(eq2),
             "status": "provable" if isinstance(res2, Provable) else "unprovable",
             "min_height": res2.min_height if isinstance(res2, Provable) else None,
             "matches_d1_upper": isinstance(res2, Provable) and res2.derivation == fixtures["d1-upper"],
-            "evidence": eq2_path.name,
+            "evidence": "eq2-derivation.json",
         })
 
         # eq3: the d1 tree extended by a final step outside the rule table
         bad = fixtures["d1-full-with-ltop"]
         v = check_derivation(bad, mode)
-        add({
+        items.append({
             "id": "eq3-d1",
             "status": "invalid" if v is not None else "valid",
             "clause": v.clause if v else None,
@@ -265,30 +246,26 @@ def _cmd_repro(args) -> int:
 
         # eq4: the same end-sequent via the seven-node tree
         d2 = fixtures["d2"]
-        v = check_derivation(d2, mode)
-        if v is not None:
-            raise _InternalDisagreement(f"bundled d2 fixture rejected: {v.message}")
         eq4 = d2.conclusion
         res4 = fresh().decide(eq4)
         _recheck(res4, eq4, mode)
         if not isinstance(res4, Provable):
             raise _InternalDisagreement("d2 checks as valid but its conclusion is reported unprovable")
-        eq4_path = out / "eq4-derivation.json"
-        save_derivation(res4.derivation, eq4_path)
-        add({
+        evidence["eq4-derivation.json"] = derivation_to_json(res4.derivation)
+        items.append({
             "id": "eq4-d2",
             "query": print_sequent(eq4),
             "status": "valid+provable",
             "fixture_height": height(d2),
             "min_height": res4.min_height,
-            "evidence": eq4_path.name,
+            "evidence": "eq4-derivation.json",
         })
 
         # absurdity form of eq1's antecedent
         pair = parse_sequent("~A, A |-")
         resp = fresh().decide(pair)
         _recheck(resp, pair, mode)
-        add({
+        items.append({
             "id": "eq1-absurd",
             "query": print_sequent(pair),
             "status": "provable" if isinstance(resp, Provable) else "unprovable",
@@ -298,42 +275,33 @@ def _cmd_repro(args) -> int:
         shared = fresh()
 
         # the two-line equivalence fixtures plus the three-query study
-        for name in ("lemma1-right", "lemma1-left"):
-            v = check_derivation(fixtures[name], mode)
-            if v is not None:
-                raise _InternalDisagreement(f"bundled {name} fixture rejected: {v.message}")
-        study = top_equivalence_study(Atom("q"), top, engine=shared)
-        study_path = out / "lemma1-study.json"
-        study_path.write_text(_dump(study.to_json()), encoding="utf-8")
-        add({
+        study = top_equivalence_study(Atom("q"), top, engine=shared).to_json()
+        evidence["lemma1-study.json"] = study
+        items.append({
             "id": "lemma1",
             "status": "valid",
             "fixtures": ["lemma1-right", "lemma1-left"],
-            "study": study.to_json(),
-            "evidence": study_path.name,
+            "study": study,
+            "evidence": "lemma1-study.json",
         })
 
-        for item_id, name in (("contradiction1", "contradiction1"), ("contradiction2", "contradiction2")):
-            v = check_derivation(fixtures[name], mode)
-            add({
-                "id": item_id,
-                "status": "valid" if v is None else "invalid",
+        for name in ("contradiction1", "contradiction2"):
+            items.append({
+                "id": name,
+                "status": "valid",
                 "conclusion": print_sequent(fixtures[name].conclusion),
                 "height": height(fixtures[name]),
             })
-            if v is not None:
-                raise _InternalDisagreement(f"bundled {name} fixture rejected: {v.message}")
 
         # prefixing a theorem on the left, tested over a bounded family
         ltop_universe = formula_universe(("p", "q"), 5)
         verdict = test_admissibility(l_top_transform(top), ltop_universe, 5, engine=shared)
-        ltop_path = out / "ltop-verdict.json"
-        ltop_path.write_text(_dump(verdict.to_json()), encoding="utf-8")
-        add({
+        evidence["ltop-verdict.json"] = verdict.to_json()
+        items.append({
             "id": "ltop-verdict",
             "status": verdict.status,
             "first_witness": verdict.witnesses[0].to_json() if verdict.witnesses else None,
-            "evidence": ltop_path.name,
+            "evidence": "ltop-verdict.json",
         })
         for w in verdict.witnesses:
             again = shared.min_height(w.transformed)
@@ -354,42 +322,41 @@ def _cmd_repro(args) -> int:
         wk_verdict = test_admissibility(
             weakening_transform(Atom("q")), formula_universe(("p", "q"), 2), 4, engine=shared
         )
-        wk_path = out / "weakening-verdict.json"
-        wk_path.write_text(_dump(wk_verdict.to_json()), encoding="utf-8")
-        add({
+        evidence["weakening-verdict.json"] = wk_verdict.to_json()
+        items.append({
             "id": "weakening",
             "status": wk_verdict.status,
             "step_conclusion": print_sequent(wk_conclusion),
             "step_premise": print_sequent(wk_premise),
             "step_rejected_as": rejections,
             "weakened_pair_status": "provable" if isinstance(res_wk, Provable) else "unprovable",
-            "evidence": wk_path.name,
+            "evidence": "weakening-verdict.json",
         })
 
         # oracle cross-check over the standard small family
         universe = [parse_formula(t) for t in ("p", "q", "~p", "~q", "p & q", "p | q", "p -> q", "q -> p", "p -> p")]
         cc = cross_check(universe, 6, engine=shared)
-        cc_path = out / "crosscheck.json"
-        cc_path.write_text(_dump(cc.to_json()), encoding="utf-8")
         if cc.violations:
             raise _InternalDisagreement(
                 f"{len(cc.violations)} Core-provable sequents are intuitionistically unprovable"
             )
-        add({
+        evidence["crosscheck.json"] = cc.to_json()
+        items.append({
             "id": "crosscheck",
             "status": "ok",
             "total": cc.total,
             "divergences": len(cc.divergences),
-            "evidence": cc_path.name,
+            "evidence": "crosscheck.json",
         })
     except _InternalDisagreement as e:
         _say(f"coreseq: internal disagreement: {e}")
         return 3
-    except ResourceLimitError as e:
-        _say(f"coreseq: resource limit: {e}")
-        return 2
 
-    text = _dump(report)
+    text = _dump({"version": __version__, "mode": mode, "top": args.top, "items": items})
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, obj in evidence.items():
+        (out / name).write_text(_dump(obj), encoding="utf-8")
     (out / "report.json").write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     _say(f"report and evidence written to {out}/")
@@ -404,12 +371,16 @@ def _cmd_atlas(args) -> int:
     if args.atoms < 1 or args.atoms > len(_ATOM_SUPPLY):
         _say(f"coreseq: --atoms must be between 1 and {len(_ATOM_SUPPLY)}")
         return 2
+    if args.out:
+        # an unwritable --out fails here, before any search: "a" leaves an
+        # existing file as it is, and a file made only to try is removed
+        out = Path(args.out)
+        existed = out.exists()
+        out.open("a").close()
+        if not existed:
+            out.unlink()
     universe = formula_universe(_ATOM_SUPPLY[: args.atoms], args.weight_cap)
-    try:
-        cc = cross_check(universe, args.weight_cap, engine=Engine(args.mode, memo_cap=_memo_cap()))
-    except ResourceLimitError as e:
-        _say(f"coreseq: resource limit, no output written: {e}")
-        return 2
+    cc = cross_check(universe, args.weight_cap, engine=Engine(args.mode, memo_cap=_memo_cap()))
 
     def verdict(ok: bool) -> str:
         return "provable" if ok else "unprovable"
@@ -475,19 +446,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    failure: dict = {"status": "error"}
     try:
         return args.func(args)
     except RecursionError:
         error = "input nested too deeply"
     except ParseError as e:
         error = f"parse error: {e}"
+        failure["position"] = e.position
+    except ResourceLimitError as e:
+        error = f"resource limit: {e}"
+        failure["status"] = "resource-limit"
     except (OSError, ValueError) as e:
         # unwritable outputs, a malformed CORESEQ_MEMO_CAP, a --top that is
         # not a theorem
         error = str(e)
     _say(f"coreseq: {error}")
     if getattr(args, "json", False):
-        sys.stdout.write(_dump({"status": "error", "error": error}))
+        sys.stdout.write(_dump({**failure, "error": error}))
     return 2
 
 

@@ -1,10 +1,13 @@
+import ast
 import csv
+import inspect
 import io
 import json
 
 import pytest
 
 from coreseq import Engine, cross_check, fixture_path, formula_universe, load_derivation, parse_sequent, print_sequent
+from coreseq import cli
 from coreseq.cli import main
 
 
@@ -95,6 +98,21 @@ def test_memo_cap_env_produces_resource_exit(capsys, monkeypatch):
     code, _, err = run(capsys, "decide", "p -> q, q -> p, p | q |- p & q")
     assert code == 2
     assert "resource" in err.lower()
+
+
+def test_decide_json_error_objects(capsys, monkeypatch):
+    code, out, err = run(capsys, "decide", "p -> ->", "--json")
+    assert code == 2
+    blob = json.loads(out)
+    assert blob["status"] == "error"
+    assert type(blob["position"]) is int
+    assert blob["error"] in err
+    monkeypatch.setenv("CORESEQ_MEMO_CAP", "4")
+    code, out, err = run(capsys, "decide", "p -> q, q -> p, p | q |- p & q", "--json")
+    assert code == 2
+    blob = json.loads(out)
+    assert blob["status"] == "resource-limit"
+    assert blob["error"] in err
 
 
 # -- check ---------------------------------------------------------------------
@@ -203,9 +221,24 @@ def test_repro_is_deterministic_and_complete(capsys, tmp_path):
     assert len(by_id["weakening"]["step_rejected_as"]) == 11
     assert by_id["weakening"]["weakened_pair_status"] == "unprovable"
 
-    for name in ("eq2-derivation.json", "ltop-verdict.json", "crosscheck.json", "lemma1-study.json"):
-        assert (out1 / name).exists()
+    evidence = {item["evidence"] for item in report["items"] if "evidence" in item}
+    assert len(evidence) == 6
+    assert {f.name for f in out1.iterdir()} == evidence | {"report.json"}
     assert json.loads((out1 / "crosscheck.json").read_text())["violations"] == []
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [(["--top", "p"], None), (["--top", ""], None), ([], "5")],
+    ids=["top-not-a-theorem", "top-unparsable", "resource-limit"],
+)
+def test_failed_repro_writes_nothing(capsys, monkeypatch, tmp_path, argv, env):
+    if env is not None:
+        monkeypatch.setenv("CORESEQ_MEMO_CAP", env)
+    out = tmp_path / "r"
+    code, _, _ = run(capsys, "repro", "--out", str(out), *argv)
+    assert code == 2
+    assert not out.exists()
 
 
 # -- atlas ----------------------------------------------------------------------
@@ -267,6 +300,29 @@ def test_atlas_rejects_bad_atom_count(capsys):
     assert code == 2
 
 
+def test_atlas_rejects_unwritable_out_before_deciding(capsys, monkeypatch, tmp_path):
+    def no_search(*args, **kwargs):
+        raise AssertionError("atlas decided a family it cannot write")
+
+    monkeypatch.setattr("coreseq.cli.cross_check", no_search)
+    code, _, err = run(capsys, "atlas", "--atoms", "2", "--weight-cap", "7", "--out", str(tmp_path / "missing" / "x.csv"))
+    assert code == 2
+    assert "No such file" in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_failed_atlas_writes_nothing(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("CORESEQ_MEMO_CAP", "5")
+    fresh, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("kept\n", encoding="utf-8")
+    for target in (fresh, old):
+        code, _, err = run(capsys, "atlas", "--atoms", "2", "--weight-cap", "4", "--out", str(target))
+        assert code == 2
+        assert "resource limit" in err
+    assert not fresh.exists()
+    assert old.read_text(encoding="utf-8") == "kept\n"
+
+
 # -- errors outside the query ----------------------------------------------------
 
 
@@ -303,3 +359,24 @@ def test_failed_write_prints_only_the_error_object(capsys, monkeypatch, tmp_path
     code, out, _ = run(capsys, "decide", "p |- p", "--json")
     assert code == 2
     assert json.loads(out) == {"status": "error", "error": "invalid CORESEQ_MEMO_CAP 'abc'"}
+
+
+def test_only_main_catches_query_errors():
+    """Parse errors, resource limits and deep input become exit 2 in one
+    place, `main`; a subcommand that catches one itself has a second
+    error policy."""
+    tree = ast.parse(inspect.getsource(cli))
+    main_fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    in_main = {id(n) for n in ast.walk(main_fn)}
+    query_errors = {"ParseError", "ResourceLimitError", "RecursionError"}
+    offenders = [
+        handler.lineno
+        for handler in ast.walk(tree)
+        if isinstance(handler, ast.ExceptHandler)
+        and handler.type is not None
+        and id(handler) not in in_main
+        and query_errors & {
+            getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(handler.type)
+        }
+    ]
+    assert offenders == []
