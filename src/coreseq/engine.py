@@ -19,16 +19,22 @@ left rule the antecedent with or without its principal) between two
 premises: every pair (D, G) of subsets with D | G == the base, 3^n pairs
 for n base elements, times three succedent combos for LOr.  The engine
 never lists those pairs while searching.  A split group (rule, principal,
-base variant, succedent combo) holds its two sides as tables over the 2^n
-subsets, each premise built and looked up once.  A side premise is live
-unless it is settled underivable or classically invalid; a live premise
-is explored only when the other side has a live partner covering the rest
-of the base (a superset-closure table over the live masks says so), which
+succedent combo) holds its two sides as tables over the 2^n subsets of
+the antecedent, each premise built and looked up once.  For LOr and LImp
+the principal's bit is free: with need the antecedent without it, a pair
+with D | G == need discharges the principal and one with D | G == the
+whole antecedent retains it, and these are the only pairs whose union
+contains need, so one group serves both base variants and each side
+costs one 2^n scan instead of 2^(n-1) + 2^n.  For RAnd need is the whole
+antecedent.  A side premise is live unless it is settled underivable or
+classically invalid; a live premise with mask m is explored only when the
+other side has a live partner covering need & ~m (a superset-closure
+table over the live masks says so), which
 is exactly the set of goals the listed pairs would reach.  Settlement is
 a join, after Knuth's generalisation of Dijkstra's algorithm (D. E. Knuth,
 "A generalization of Dijkstra's algorithm", IPL 6(1), 1977): the group
 keeps the heights of its settled masks, and when a side settles at height
-h it is paired with the settled partners covering the rest of the base,
+h it is paired with the settled partners covering the rest of need,
 giving the conclusion 1 + max(h, best partner); a partner settled earlier
 in the same query is at most h, so the first one found is the best.  The
 cost is 2^n per side plus the pairs whose sides both settle, where
@@ -136,9 +142,11 @@ class SearchStats:
     """Effort of one query.
 
     `goals_expanded` counts the premise lookups the search made (one per
-    side premise of a split group, not one per premise pair), plus one for
-    the root.  `distinct_goals` counts the goals the query explored plus
-    the already-settled goals it looked up; a root settled before the
+    side premise of a split group, not one per premise pair; a group
+    (rule, principal, succedent combo) serves both the discharged and the
+    retained variant of LOr and LImp), plus one for the root.
+    `distinct_goals` counts the goals the query explored plus the
+    already-settled goals it looked up; a root settled before the
     query, or classically invalid, counts 1 and 1.  `max_weight_seen` is
     the largest weight of an explored goal.
     """
@@ -267,12 +275,6 @@ def _subsets(base: tuple[int, ...]) -> list[tuple[int, ...]]:
     return subs
 
 
-def _without(items: list, bit: int) -> list:
-    """The entries of a bitmask-indexed list whose mask lacks `bit`,
-    reindexed with that bit squeezed out (order is preserved)."""
-    return [x for m, x in enumerate(items) if not m & bit]
-
-
 def _superset_closure(bits: int, n: int) -> int:
     """The masks over n elements that some mask in the bitset `bits` contains.
 
@@ -291,39 +293,49 @@ def _superset_closure(bits: int, n: int) -> int:
 def _product_pairs(family, live=None) -> list[tuple[tuple, tuple]]:
     """A split family's premise pairs, in product order.
 
-    A family is a list of (lefts, rights) groups, one per succedent combo,
-    each side indexed by the bitmask of base elements its premise keeps; a
-    pair (D, G) has D | G == the base.  Pairs are ordered by their base-3
-    key, one digit per base element, the first element most significant:
-    0 when both sides keep it, 1 when only the left does, 2 when only the
-    right does; combos vary fastest.  With `live`, only pairs whose two
-    premises pass it are listed.
+    A family is (free, groups): `groups` lists (lefts, rights) groups, one
+    per succedent combo, each side indexed by the bitmask of antecedent
+    elements its premise keeps, and `free` is the mask of the principal's
+    bit for LOr and LImp, 0 for RAnd.  With need = full & ~free, a pair
+    (D, G) has D | G == need (the principal discharged) or D | G == full
+    (retained).  The discharged pairs come first, then the retained ones;
+    each part is ordered by its base-3 key, one digit per base element, the
+    first element most significant: 0 when both sides keep it, 1 when only
+    the left does, 2 when only the right does.  A discharged pair's free
+    element is kept by neither side and gets digit 0, which leaves the order
+    of the base without the principal.  Combos vary fastest.  With `live`,
+    only pairs whose two premises pass it are listed.
     """
-    size = len(family[0][0])
+    free, groups = family
+    size = len(groups[0][0])
     full = size - 1
+    need = full & ~free
     n = full.bit_length()
     digit = [0] * size  # the key of a mask's elements, each with digit 1
     for m in range(1, size):
         low = m & -m
         digit[m] = digit[m ^ low] + 3 ** (n - low.bit_length())
     found = []
-    for combo, (lefts, rights) in enumerate(family):
+    for combo, (lefts, rights) in enumerate(groups):
         ok_right = None if live is None else [live(p) for p in rights]
         for d in range(size):
             if live is not None and not live(lefts[d]):
                 continue
-            comp = full ^ d
-            shared = d
+            comp = need & ~d
+            spare = d | free
+            shared = spare
             while True:
                 gm = comp | shared
                 if ok_right is None or ok_right[gm]:
-                    found.append((digit[d ^ shared] + 2 * digit[comp], combo, d, gm))
+                    found.append(
+                        ((d | gm) & free, digit[d & ~gm] + 2 * digit[gm & ~d], combo, d, gm)
+                    )
                 if not shared:
                     break
-                shared = (shared - 1) & d
+                shared = (shared - 1) & spare
     found.sort()
     return [
-        (family[combo][0][d], family[combo][1][gm]) for _key, combo, d, gm in found
+        (groups[combo][0][d], groups[combo][1][gm]) for _retained, _key, combo, d, gm in found
     ]
 
 
@@ -442,11 +454,14 @@ class Engine:
 
         The block of Ax or a one-premise rule lists premise tuples.  The
         block of a split rule (RAnd, LOr, LImp) lists split families in the
-        form `_product_pairs` reads, one per principal and base variant;
-        each premise antecedent is built once per subset of the base, never
-        once per pair.  Within a block, entries follow the canonical
-        generation order: principals in antecedent order, discharged premise
-        variants before retaining ones.
+        form `_product_pairs` reads, one per principal, in antecedent order.
+        A family's groups span the whole antecedent: for LOr and LImp the
+        principal's bit is free, so one group holds both the discharged and
+        the retained pairs, and each premise antecedent is built once per
+        subset of the antecedent, never once per pair or per variant.
+        Within the other blocks, entries follow the canonical generation
+        order: principals in antecedent order, discharged premise variants
+        before retaining ones.
         """
         t = self._t
         kind, left, right = t.kind, t.left, t.right
@@ -471,7 +486,7 @@ class Engine:
             elif sk == _KAND:
                 a, b = left[succ], right[succ]
                 subs = _subsets(ants)
-                blocks[_RAND].append((([(d, a) for d in subs], [(d, b) for d in subs]),))
+                blocks[_RAND].append((0, (([(d, a) for d in subs], [(d, b) for d in subs]),)))
             elif sk == _KOR:
                 blocks[_ROR1].append(((ants, left[succ]),))
                 blocks[_ROR2].append(((ants, right[succ]),))
@@ -484,7 +499,7 @@ class Engine:
 
         left_absurd_ok = succ != _ABSURD or self.mode == "tennant"
 
-        def lor_family(la: list, rb: list) -> tuple:
+        def lor_groups(la: list, rb: list) -> tuple:
             if succ == _ABSURD:
                 return (([(x, _ABSURD) for x in la], [(y, _ABSURD) for y in rb]),)
             ls = [(x, succ) for x in la]
@@ -509,25 +524,20 @@ class Engine:
                             prem = insert(prem, x)
                         blocks[_LAND].append(((prem, succ),))
             elif k == _KOR or (k == _KIMP and left_absurd_ok):
-                # the base without f is the subsets whose mask lacks its bit
+                # f's bit is free: a pair covers the antecedent with or
+                # without it (the discharged and the retained variant)
                 if subs is None:
                     subs = _subsets(ants)
                 a, b = left[f], right[f]
-                bit = 1 << pos
+                free = 1 << pos
                 if k == _KOR:
                     la = [insert(d, a) for d in subs]
                     rb = [insert(d, b) for d in subs]
-                    blocks[_LOR] += (
-                        lor_family(_without(la, bit), _without(rb, bit)),
-                        lor_family(la, rb),
-                    )
+                    blocks[_LOR].append((free, lor_groups(la, rb)))
                 else:
                     minor = [(d, a) for d in subs]
                     major = [(insert(d, b), succ) for d in subs]
-                    blocks[_LIMP] += (
-                        ((_without(minor, bit), _without(major, bit)),),
-                        ((minor, major),),
-                    )
+                    blocks[_LIMP].append((free, ((minor, major),)))
         return blocks
 
     def _instances(self, g: tuple, live=None) -> list[tuple[int, tuple[tuple, ...]]]:
@@ -564,7 +574,7 @@ class Engine:
         of two sides (Knuth's generalisation of Dijkstra's algorithm): each
         split group keeps the heights of its settled side premises, and a
         side settling at height h is joined with the settled partners that
-        cover the rest of the base, never with a listed pair.
+        cover the rest of the group's need mask, never with a listed pair.
         """
         settled = self._heights
         failing_rows = self._failing_rows
@@ -582,7 +592,7 @@ class Engine:
         # premise -> conclusions of the one-premise instances waiting on it
         waiting: dict[tuple, list[tuple]] = {}
         # premise -> (group, side, mask) slots it fills in split groups; a
-        # group is [conclusion, full mask, left heights, right heights,
+        # group is [conclusion, need mask, left heights, right heights,
         # settled left masks, settled right masks]
         joined: dict[tuple, list[tuple[list, int, int]]] = {}
 
@@ -610,17 +620,21 @@ class Engine:
                 nodes.add(p)
                 stack.append(p)
 
-        def open_group(g: tuple, lefts: list, rights: list) -> int:
+        def open_group(g: tuple, free: int, lefts: list, rights: list) -> int:
             """Register one split group of goal g; returns the lookups made.
 
-            Every left premise is looked up, and a right one only when a
-            live left premise covers the rest of the base: the lookups the
-            premise pairs would make, each pair's left premise first.  A
-            live premise waits only when a live partner covers the rest of
-            the base, so the explored goals are the pairs' too.
+            A side mask m needs a partner covering need & ~m, where need
+            is the antecedent without the free element: with the partner
+            the pair covers need or the full antecedent, so each side
+            premise is scanned once for both variants.  Every left premise
+            is looked up, and a right one only when a live left premise
+            covers the rest: the premises the pairs would look up.  A live
+            premise waits only when a live partner covers the rest, so the
+            explored goals are the pairs' too.
             """
             size = len(lefts)
             full = size - 1
+            need = full & ~free
             everything = (1 << size) - 1
             left_h = [look(p) for p in lefts]
             lookups = size
@@ -630,8 +644,8 @@ class Engine:
                     ok_left |= 1 << m
             if not ok_left:
                 return lookups
-            # a live whole base covers every mask
-            if ok_left >> full & 1:
+            # a live mask containing need covers every mask
+            if (ok_left >> need | ok_left >> full) & 1:
                 cover_left = everything
                 right_h = [look(p) for p in rights]
                 lookups += size
@@ -639,7 +653,7 @@ class Engine:
                 cover_left = _superset_closure(ok_left, full.bit_length())
                 right_h = [None] * size
                 for m in range(size):
-                    if cover_left >> (full ^ m) & 1:
+                    if cover_left >> (need & ~m) & 1:
                         lookups += 1
                         right_h[m] = look(rights[m])
             ok_right = 0
@@ -649,12 +663,12 @@ class Engine:
             if not ok_right:
                 return lookups
             cover_right = (
-                everything if ok_right >> full & 1
+                everything if (ok_right >> need | ok_right >> full) & 1
                 else _superset_closure(ok_right, full.bit_length())
             )
             # a side's height list keeps only its settled masks; an open
             # or unpaired one is None
-            grp = [g, full, left_h, right_h, [], []]
+            grp = [g, need, left_h, right_h, [], []]
             for side, prems, heights, cover in (
                 (0, lefts, left_h, cover_right),
                 (1, rights, right_h, cover_left),
@@ -664,7 +678,7 @@ class Engine:
                     ph = heights[m]
                     if ph is None:
                         continue
-                    if not cover >> (full ^ m) & 1:
+                    if not cover >> (need & ~m) & 1:
                         heights[m] = None
                     elif ph == _OPEN:
                         heights[m] = None
@@ -674,7 +688,7 @@ class Engine:
             # pairs settled on both sides before this query
             best = None
             for d in grp[4]:
-                comp = full ^ d
+                comp = need & ~d
                 for gm in grp[5]:
                     if gm & comp == comp:
                         cand = max(left_h[d], right_h[gm])
@@ -704,9 +718,9 @@ class Engine:
                     else:
                         heapq.heappush(heap, (1 + ph, next(tick), g))
             for rule in _SPLIT_RULES:
-                for family in blocks[rule]:
-                    for lefts, rights in family:
-                        visits += open_group(g, lefts, rights)
+                for free, groups in blocks[rule]:
+                    for lefts, rights in groups:
+                        visits += open_group(g, free, lefts, rights)
             if len(nodes) > self.memo_cap:
                 raise ResourceLimitError(
                     f"one query explored more than the cap of {self.memo_cap} goals"
@@ -728,10 +742,10 @@ class Engine:
                 grp[2 + side][m] = h
                 grp[4 + side].append(m)
                 # join with the other side's settled masks covering the
-                # rest of the base; one settled during this query has
+                # rest of need; one settled during this query has
                 # height <= h, so it gives the best pair at once
                 other_heights = grp[3 - side]
-                comp = grp[1] ^ m
+                comp = grp[1] & ~m
                 best = None
                 for x in grp[5 - side]:
                     if x & comp == comp:

@@ -25,7 +25,7 @@ over a bounded sequent family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from itertools import permutations, product
 from typing import Iterable, Iterator, Optional
 
@@ -191,6 +191,32 @@ ASSIGNMENT_WIDTH = 1 << 12
 MAX_WORLDS = 5
 
 
+@lru_cache(maxsize=256)
+def _frame_above(worlds: tuple[int, ...], order: frozenset) -> tuple[tuple[int, ...], ...]:
+    """The worlds above each world of a Kripke frame, after checking its
+    shape: worlds 0..k-1 with k >= 1 and an order on them that is reflexive
+    and transitive with 0 below every world; ValueError otherwise.  O(k^3),
+    paid once per distinct frame while it stays among the most recent 256;
+    a rejected frame is not cached."""
+    k = len(worlds)
+    if k == 0 or worlds != tuple(range(k)):
+        raise ValueError(f"worlds must be 0..k-1 for some k >= 1, got {worlds}")
+    above: list[set[int]] = [set() for _ in worlds]
+    for (u, v) in order:
+        if u not in worlds or v not in worlds:
+            raise ValueError(f"order relates ({u}, {v}) outside the worlds")
+        above[u].add(v)
+    for u, up in enumerate(above):
+        if u not in up:
+            raise ValueError(f"order is not reflexive at {u}")
+        if u not in above[0]:
+            raise ValueError(f"world 0 is not below world {u}")
+        for v in up:
+            if not above[v] <= up:
+                raise ValueError(f"order is not transitive above {u} <= {v}")
+    return tuple(tuple(sorted(up)) for up in above)
+
+
 @dataclass(frozen=True)
 class KripkeModel:
     """Finite reflexive-transitive order with a persistent valuation.
@@ -204,28 +230,15 @@ class KripkeModel:
     valuation: tuple[frozenset[str], ...]
 
     def __post_init__(self):
-        """Reject anything but a Kripke model: worlds 0..k-1 with k >= 1, one
-        valuation per world, an order that is reflexive and transitive with
-        0 below every world, and a valuation persistent along it.  O(k^3)."""
-        k = len(self.worlds)
-        if k == 0 or tuple(self.worlds) != tuple(range(k)):
-            raise ValueError(f"worlds must be 0..k-1 for some k >= 1, got {self.worlds}")
+        """Reject anything but a Kripke model: a frame `_frame_above`
+        accepts, one valuation per world, and a valuation persistent along
+        the order.  O(k^2) once the frame has been checked."""
+        above = _frame_above(tuple(self.worlds), frozenset(self.order))
+        k = len(above)
         if len(self.valuation) != k:
             raise ValueError(f"{k} worlds need {k} valuations, got {len(self.valuation)}")
-        worlds = range(k)
-        above: list[set[int]] = [set() for _ in worlds]
-        for (u, v) in self.order:
-            if u not in worlds or v not in worlds:
-                raise ValueError(f"order relates ({u}, {v}) outside the worlds")
-            above[u].add(v)
         for u, up in enumerate(above):
-            if u not in up:
-                raise ValueError(f"order is not reflexive at {u}")
-            if u not in above[0]:
-                raise ValueError(f"world 0 is not below world {u}")
             for v in up:
-                if not above[v] <= up:
-                    raise ValueError(f"order is not transitive above {u} <= {v}")
                 if not self.valuation[u] <= self.valuation[v]:
                     raise ValueError(f"valuation is not persistent along {u} <= {v}")
 

@@ -250,10 +250,14 @@ class Derivation:
 
 
 def height(d: Derivation) -> int:
-    """0 at axioms, otherwise one more than the tallest premise."""
-    if not d.premises:
-        return 0
-    return 1 + max(height(p) for p in d.premises)
+    """0 at axioms, otherwise one more than the tallest premise: the number
+    of levels below the root, walked one level at a time."""
+    levels = -1
+    level = [d]
+    while level:
+        levels += 1
+        level = [p for node in level for p in node.premises]
+    return levels
 
 
 def check_derivation(d: Derivation, mode: str = MODES[0]) -> Violation | None:
@@ -276,31 +280,56 @@ _NODE_KEYS = {"rule", "conclusion", "premises"}
 
 
 def derivation_to_json(d: Derivation) -> dict:
-    return {
-        "rule": d.rule,
-        "conclusion": print_sequent(d.conclusion),
-        "premises": [derivation_to_json(p) for p in d.premises],
-    }
+    """The tree as nested objects, built top-down with an explicit stack of
+    the nodes whose premise lists are still empty."""
+    root = {"rule": d.rule, "conclusion": print_sequent(d.conclusion), "premises": []}
+    stack = [(d, root)]
+    while stack:
+        node, obj = stack.pop()
+        premises = obj["premises"]
+        for p in node.premises:
+            child = {"rule": p.rule, "conclusion": print_sequent(p.conclusion), "premises": []}
+            premises.append(child)
+            if p.premises:
+                stack.append((p, child))
+    return root
 
 
 def derivation_from_json(obj) -> Derivation:
-    if not isinstance(obj, dict):
-        raise ValueError(f"derivation node must be an object, got {type(obj).__name__}")
-    unknown = set(obj) - _NODE_KEYS
-    if unknown:
-        raise ValueError(f"unknown derivation node keys: {sorted(unknown)}")
-    if "rule" not in obj or "conclusion" not in obj:
-        raise ValueError("derivation node needs 'rule' and 'conclusion'")
-    rule, conclusion, premises = obj["rule"], obj["conclusion"], obj.get("premises", [])
-    if not isinstance(rule, str):
-        raise ValueError("'rule' must be a string")
-    if not isinstance(conclusion, str):
-        raise ValueError("'conclusion' must be a string")
-    if not isinstance(premises, list):
-        raise ValueError("'premises' must be a list")
-    return Derivation(
-        parse_sequent(conclusion), rule, tuple(derivation_from_json(p) for p in premises)
-    )
+    """Load a tree of derivation objects with an explicit stack.  Nodes are
+    validated and parsed in preorder, so the first bad node is reported.  A
+    node with premises waits in `pending` with the stack height below its
+    premises; when the stack is back at that height its premises are the
+    last ones built, in order."""
+    stack = [obj]
+    pending: list[tuple[Sequent, str, int, int]] = []
+    built: list[Derivation] = []
+    while stack:
+        obj = stack.pop()
+        if not isinstance(obj, dict):
+            raise ValueError(f"derivation node must be an object, got {type(obj).__name__}")
+        if not _NODE_KEYS.issuperset(obj):
+            raise ValueError(f"unknown derivation node keys: {sorted(set(obj) - _NODE_KEYS)}")
+        if "rule" not in obj or "conclusion" not in obj:
+            raise ValueError("derivation node needs 'rule' and 'conclusion'")
+        rule, conclusion, premises = obj["rule"], obj["conclusion"], obj.get("premises", [])
+        if not isinstance(rule, str):
+            raise ValueError("'rule' must be a string")
+        if not isinstance(conclusion, str):
+            raise ValueError("'conclusion' must be a string")
+        if not isinstance(premises, list):
+            raise ValueError("'premises' must be a list")
+        if premises:
+            pending.append((parse_sequent(conclusion), rule, len(premises), len(stack)))
+            stack += reversed(premises)
+            continue
+        built.append(Derivation(parse_sequent(conclusion), rule, ()))
+        while pending and pending[-1][3] == len(stack):
+            conclusion, rule, count, _ = pending.pop()
+            premises = tuple(built[-count:])
+            del built[-count:]
+            built.append(Derivation(conclusion, rule, premises))
+    return built[0]
 
 
 def load_derivation(path) -> Derivation:

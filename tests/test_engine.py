@@ -259,6 +259,35 @@ def test_split_heavy_queries(text, tennant, strict):
         assert height(res.derivation) == expected
 
 
+_FAMILY6 = sequent_family(formula_universe(["p", "q"], 6), 6)
+
+
+@pytest.mark.parametrize(
+    "mode, fresh, shared, table, heights",
+    [
+        ("tennant", 18520, 15164, 9080, (768, 1548)),
+        ("strict-table", 14430, 11651, 7208, (654, 1236)),
+    ],
+)
+def test_split_groups_explore_the_pinned_space(mode, fresh, shared, table, heights):
+    # over the 2-atom weight-6 family, as listing every premise pair gave
+    # them: the summed distinct goals on fresh engines and on one shared
+    # engine, the shared engine's table size afterwards, and the provable
+    # rows with their summed minimal heights.  One split group per LOr and
+    # LImp principal, with the principal's bit free, must explore, settle
+    # and pair exactly the goals of both base variants
+    def distinct(res):
+        return (res.stats if res.is_provable else res.certificate).distinct_goals
+
+    assert sum(distinct(Engine(mode).decide(goal)) for goal in _FAMILY6) == fresh
+    eng = Engine(mode)
+    results = [eng.decide(goal) for goal in _FAMILY6]
+    assert sum(map(distinct, results)) == shared
+    assert len(eng._heights) == table
+    proved = [res.min_height for res in results if res.is_provable]
+    assert (len(proved), sum(proved)) == heights
+
+
 def test_unpaired_split_sides_are_not_explored():
     # p, q |- p | p is underivable (there is no weakening), so in each goal
     # below the side premise p |- p & p has no live partner covering q: it

@@ -165,6 +165,24 @@ def test_persistence_is_validated():
             KripkeModel(worlds, frozenset(order), (frozenset(),) * n_valuations)
 
 
+def test_frame_checks_are_cached_but_persistence_is_not():
+    # each distinct frame is checked once, and every model on it still has
+    # its valuation checked
+    intuitionistic._frame_above.cache_clear()
+    chain = ((0, 1), frozenset({(0, 0), (1, 1), (0, 1)}))
+    for _ in range(3):
+        KripkeModel(*chain, (frozenset(), frozenset({"p"})))
+        with pytest.raises(ValueError, match="persistent"):
+            KripkeModel(*chain, (frozenset({"p"}), frozenset()))
+        with pytest.raises(ValueError, match="valuations"):
+            KripkeModel(*chain, (frozenset(),))
+        # a rejected frame is rejected again, never remembered as checked
+        with pytest.raises(ValueError, match="reflexive"):
+            KripkeModel((0, 1), frozenset({(0, 0), (0, 1)}), (frozenset(),) * 2)
+    info = intuitionistic._frame_above.cache_info()
+    assert (info.misses, info.currsize) == (1 + 3, 1)
+
+
 def test_forcing_of_conditionals_quantifies_over_later_worlds():
     chain = KripkeModel(
         (0, 1),

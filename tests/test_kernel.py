@@ -345,3 +345,57 @@ def test_kernel_imports_only_the_standard_library_and_syntax():
             continue
         for root in roots:
             assert root in sys.stdlib_module_names, ast.unparse(node)
+
+
+def test_deep_derivation_loads_checks_and_serializes():
+    # p -> p, p |- p by LImp from p |- p and itself again (the principal is
+    # retained), stacked 10^4 high: the loader, the checker, the serializer
+    # and height walk it without recursion
+    depth = 10_000
+    ax = {"rule": "Ax", "conclusion": "p |- p", "premises": []}
+    obj = {"rule": "LImp", "conclusion": "p -> p, p |- p", "premises": [ax, ax]}
+    for _ in range(depth - 1):
+        obj = {"rule": "LImp", "conclusion": "p -> p, p |- p", "premises": [ax, obj]}
+    d = derivation_from_json(obj)
+    assert check_derivation(d) is None
+    assert height(d) == depth
+    # compared node by node: == on nested dicts would itself recurse
+    pairs = [(derivation_to_json(d), obj)]
+    nodes = 0
+    while pairs:
+        got, want = pairs.pop()
+        assert (got["rule"], got["conclusion"]) == (want["rule"], want["conclusion"])
+        assert len(got["premises"]) == len(want["premises"])
+        pairs += zip(got["premises"], want["premises"])
+        nodes += 1
+    assert nodes == 2 * depth + 1
+
+
+def test_json_errors_name_the_first_bad_node_in_preorder():
+    good = {"rule": "Ax", "conclusion": "p |- p", "premises": []}
+    obj = {
+        "rule": "RAnd",
+        "conclusion": "p |- p & p",
+        "premises": [
+            {"rule": "LNeg", "conclusion": "p |- p", "premises": [good, {"rule": 1, "conclusion": "p |- p"}]},
+            {"rule": "Ax", "conclusion": 5},
+        ],
+    }
+    with pytest.raises(ValueError, match="'rule' must be a string"):
+        derivation_from_json(obj)
+
+
+def test_no_kernel_function_calls_itself():
+    """The trusted kernel walks derivations with explicit stacks, so its
+    depth costs memory, not call frames."""
+    tree = ast.parse(Path(coreseq.kernel.__file__).read_text(encoding="utf-8"))
+    offenders = [
+        (fn.name, call.lineno)
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == fn.name
+    ]
+    assert offenders == []
