@@ -16,21 +16,29 @@ marker is represented as ``None`` and never occurs inside a formula.
 Antecedents are finite sets, stored canonically ordered and
 duplicate-free.
 
-A formula is identified by its canonical text.  Each node computes its
-weight and its text once, at construction, from its children's fields, so
-neither is recomputed and neither recurses; `==` and `hash` are those of
-the text.  Text works as identity because the printer is injective: its
-output parses back to the same tree.  That needs every atom name to be an
-identifier (a letter, then letters, digits or underscores: what the
-tokenizer reads as one IDENT token), so `Atom` rejects any other name with
-`ValueError`.  Each node stores its own text, so a chain of depth d holds
-O(d^2) characters: as much as a cache of printed subformulas would, but
-freed with the formula.
+A formula is identified by its canonical text.  Each node is a plain
+object with ``__slots__`` whose constructor computes its weight and its
+text once, from its children's fields, so neither is recomputed and
+neither recurses; no field can be assigned or deleted afterwards, and `==`
+and `hash` are those of the text.  Text works as identity because the
+printer is injective: its output parses back to the same tree.  That
+needs every atom name to be an identifier (a letter, then letters, digits
+or underscores: what the tokenizer reads as one word), so `Atom` rejects
+any other name with `ValueError`.  Each node stores its own text, so a
+chain of depth d holds O(d^2) characters: as much as a cache of printed
+subformulas would, but freed with the formula.
+
+The tokenizer is one regular expression whose matches are the tokens;
+whitespace matches nothing and so is skipped.  The parser is a loop over
+those tokens with an explicit operator stack, so nesting depth costs
+memory, not call frames.  Token positions are worked out only when a
+`ParseError` is raised.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 
@@ -46,22 +54,18 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # Formulas
 
-# Precedence levels used by the printer; higher binds tighter.
+# Precedence levels used by the printer and the parser; higher binds tighter.
 _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_NEG, _PREC_ATOM = 1, 2, 3, 4, 5
 
-
-def _paren(f: Formula, level: int) -> str:
-    """f's text, parenthesised unless f binds tighter than `level`."""
-    return f.text if f._prec > level else f"({f.text})"
+# The two-character operators, then words, then any other visible character.
+_TOKEN = re.compile(r"\|-|->|\w+|\S")
 
 
-@dataclass(frozen=True, eq=False)
 class Formula:
     """A formula node.  `weight` (the node count) and `text` (the canonical
     form) are set once, at construction, from the children's fields."""
 
-    weight: int = field(init=False, repr=False)
-    text: str = field(init=False, repr=False)
+    __slots__ = ("weight", "text", "__weakref__")
 
     def __eq__(self, other):
         if isinstance(other, Formula):
@@ -71,57 +75,79 @@ class Formula:
     def __hash__(self):
         return hash(self.text)
 
-    def _set(self, weight: int, text: str) -> None:
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "text", text)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.text!r})"
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild a formula from its text, which
+        # parses back to an equal tree without recursing however deep it is
+        return parse_formula, (self.text,)
 
 
-@dataclass(frozen=True, eq=False)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
     _prec = _PREC_ATOM
 
-    def __post_init__(self):
-        name = self.name
-        if not (isinstance(name, str) and name[:1].isalpha() and _ident_end(name, 0) == len(name)):
+    def __init__(self, name: str):
+        if not (isinstance(name, str) and name[:1].isalpha() and _TOKEN.fullmatch(name)):
             raise ValueError(f"atom name {name!r} is not an identifier")
-        self._set(1, name)
+        _set_name(self, name)
+        _set_weight(self, 1)
+        _set_text(self, name)
 
 
-@dataclass(frozen=True, eq=False)
 class Neg(Formula):
-    sub: Formula
+    __slots__ = ("sub",)
     _prec = _PREC_NEG
 
-    def __post_init__(self):
-        self._set(1 + self.sub.weight, "~" + _paren(self.sub, _PREC_NEG - 1))
+    def __init__(self, sub: Formula):
+        _set_sub(self, sub)
+        _set_weight(self, 1 + sub.weight)
+        _set_text(self, "~" + sub.text if sub._prec >= _PREC_NEG else f"~({sub.text})")
 
 
-@dataclass(frozen=True, eq=False)
 class _Binary(Formula):
-    left: Formula
-    right: Formula
+    """A binary node.  A child is printed bare when it binds at least as
+    tightly as the class's `_bare_left` or `_bare_right`: the conditional
+    associates to the right, the others to the left."""
 
-    def __post_init__(self):
-        a, b, prec = self.left, self.right, self._prec
-        # the conditional associates to the right, the others to the left
-        if prec == _PREC_IMP:
-            text = f"{_paren(a, prec)} {self._op} {b.text}"
-        else:
-            text = f"{_paren(a, prec - 1)} {self._op} {_paren(b, prec)}"
-        self._set(1 + a.weight + b.weight, text)
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_weight(self, 1 + left.weight + right.weight)
+        a = left.text if left._prec >= self._bare_left else f"({left.text})"
+        b = right.text if right._prec >= self._bare_right else f"({right.text})"
+        _set_text(self, f"{a} {self._op} {b}")
 
 
 class And(_Binary):
-    _prec, _op = _PREC_AND, "&"
+    __slots__ = ()
+    _prec, _op, _bare_left, _bare_right = _PREC_AND, "&", _PREC_AND, _PREC_NEG
 
 
 class Or(_Binary):
-    _prec, _op = _PREC_OR, "|"
+    __slots__ = ()
+    _prec, _op, _bare_left, _bare_right = _PREC_OR, "|", _PREC_OR, _PREC_AND
 
 
 class Imp(_Binary):
-    _prec, _op = _PREC_IMP, "->"
+    __slots__ = ()
+    _prec, _op, _bare_left, _bare_right = _PREC_IMP, "->", _PREC_OR, _PREC_IMP
+
+
+# Formula.__setattr__ refuses every assignment, so constructors write the
+# slots through their descriptors.
+_set_weight, _set_text = Formula.weight.__set__, Formula.text.__set__
+_set_name, _set_sub = Atom.name.__set__, Neg.sub.__set__
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 
 
 def weight(f: Formula) -> int:
@@ -195,152 +221,111 @@ def sequent_weight(s: Sequent) -> int:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_UNICODE_ALIASES = {"¬": "~", "∧": "&", "∨": "|", "→": "->", "⊢": "|-"}
+# Every operator token, aliases included, mapped to its kind: its ASCII
+# spelling.  "" ends every token list.  A token missing here is a word, an
+# atom if it starts with a letter, or a character that starts no token.
+_KIND = {
+    "~": "~", "¬": "~", "&": "&", "∧": "&", "|": "|", "∨": "|", "->": "->", "→": "->",
+    "|-": "|-", "⊢": "|-", "(": "(", ")": ")", ",": ",", "": "",
+}
+
+# The operator stack holds (precedence, constructor, left operand) per binary
+# operator read, and _NEG and _LPAR, which nothing reduces.  _BINARY gives
+# a binary kind's precedence, its constructor, and the lowest precedence on
+# the stack that it reduces: its own for the left-associative kinds, not for
+# "->".  Any other token (_END) reduces every binary operator down to the
+# nearest _LPAR; the bottom of the stack is one.
+_BINARY = {"&": (_PREC_AND, And, _PREC_AND), "|": (_PREC_OR, Or, _PREC_OR), "->": (_PREC_IMP, Imp, _PREC_OR)}
+_END, _LPAR, _NEG = (0, None, _PREC_IMP), (0, None, None), (0, Neg, None)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Produce (kind, value, position) triples; kinds are single tags."""
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
+def _error(text: str, i: int, message: str) -> ParseError:
+    """The ParseError for token i: at the first character that starts no
+    token, if there is one, else `message` with the token's kind (or word)
+    or "end of input" in its braces."""
+    found = [(m.group(), m.start()) for m in _TOKEN.finditer(text)] + [("", len(text))]
+    for token, pos in found[:-1]:
+        if token not in _KIND and not token[0].isalpha():
+            return ParseError(f"unexpected character {token[0]!r}", pos)
+    token, pos = found[i]
+    return ParseError(message.format(repr(_KIND.get(token, token) or "end of input")), pos)
+
+
+def _formula(text: str, tokens: list[str], i: int, atoms: dict) -> tuple[Formula, int]:
+    """The formula that starts at token i, and the index of the token after
+    it.  `atoms` holds the atoms built so far in this parse, by name."""
+    stack = [_LPAR]
+    depth = 0  # open parentheses on the stack, the bottom not counted
+    while True:
+        token = tokens[i]
+        f = atoms.get(token)
+        while f is None:  # negations and open parentheses, then an atom
+            kind = _KIND.get(token)
+            if kind == "~":
+                stack.append(_NEG)
+            elif kind == "(":
+                stack.append(_LPAR)
+                depth += 1
+            elif kind is None and token[0].isalpha():
+                f = atoms[token] = Atom(token)
+                break
+            else:
+                raise _error(text, i, "expected a formula, found {}")
             i += 1
-            continue
-        if c in _UNICODE_ALIASES:
-            alias = _UNICODE_ALIASES[c]
-            kind = {"~": "NOT", "&": "AND", "|": "OR", "->": "IMP", "|-": "TURNSTILE"}[alias]
-            tokens.append((kind, alias, i))
+            token = tokens[i]
+            f = atoms.get(token)
+        i += 1
+        while True:  # apply negations, reduce, and close parentheses
+            while stack[-1] is _NEG:
+                stack.pop()
+                f = Neg(f)
+            kind = _KIND.get(tokens[i])
+            prec, ctor, reduces = _BINARY.get(kind, _END)
+            while stack[-1][0] >= reduces:
+                _, c, left = stack.pop()
+                f = c(left, f)
+            if ctor is not None or kind != ")" or not depth:
+                break
+            stack.pop()
+            depth -= 1
             i += 1
-            continue
-        if text.startswith("|-", i):
-            tokens.append(("TURNSTILE", "|-", i))
-            i += 2
-            continue
-        if text.startswith("->", i):
-            tokens.append(("IMP", "->", i))
-            i += 2
-            continue
-        if c == "~":
-            tokens.append(("NOT", c, i))
-            i += 1
-            continue
-        if c == "&":
-            tokens.append(("AND", c, i))
-            i += 1
-            continue
-        if c == "|":
-            tokens.append(("OR", c, i))
-            i += 1
-            continue
-        if c == "(":
-            tokens.append(("LPAR", c, i))
-            i += 1
-            continue
-        if c == ")":
-            tokens.append(("RPAR", c, i))
-            i += 1
-            continue
-        if c == ",":
-            tokens.append(("COMMA", c, i))
-            i += 1
-            continue
-        if c.isalpha():
-            j = _ident_end(text, i)
-            tokens.append(("IDENT", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("EOF", "", n))
-    return tokens
-
-
-def _ident_end(text: str, i: int) -> int:
-    """The end of the identifier starting at the letter text[i]."""
-    j, n = i + 1, len(text)
-    while j < n and (text[j].isalnum() or text[j] == "_"):
-        j += 1
-    return j
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def take(self, kind: str) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1] or 'end of input'!r}", tok[2])
-        self.pos += 1
-        return tok
-
-    def formula(self) -> Formula:
-        left = self.disj()
-        if self.peek()[0] == "IMP":
-            self.take("IMP")
-            return Imp(left, self.formula())
-        return left
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek()[0] == "OR":
-            self.take("OR")
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.peek()[0] == "AND":
-            self.take("AND")
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind == "NOT":
-            self.take("NOT")
-            return Neg(self.unary())
-        if kind == "IDENT":
-            self.take("IDENT")
-            return Atom(value)
-        if kind == "LPAR":
-            self.take("LPAR")
-            f = self.formula()
-            self.take("RPAR")
-            return f
-        raise ParseError(f"expected a formula, found {value or 'end of input'!r}", pos)
+        if ctor is None:
+            if depth:
+                raise _error(text, i, "expected RPAR, found {}")
+            return f, i
+        stack.append((prec, ctor, f))
+        i += 1
 
 
 def parse_formula(text: str) -> Formula:
-    p = _Parser(text)
-    f = p.formula()
-    kind, value, pos = p.peek()
-    if kind != "EOF":
-        raise ParseError(f"unexpected trailing input {value!r}", pos)
+    tokens = _TOKEN.findall(text) + [""]
+    f, i = _formula(text, tokens, 0, {})
+    if tokens[i]:
+        raise _error(text, i, "unexpected trailing input {}")
     return f
 
 
 def parse_sequent(text: str) -> Sequent:
-    p = _Parser(text)
+    tokens = _TOKEN.findall(text) + [""]
+    atoms: dict = {}
     antecedent: list[Formula] = []
-    if p.peek()[0] != "TURNSTILE":
-        antecedent.append(p.formula())
-        while p.peek()[0] == "COMMA":
-            p.take("COMMA")
-            antecedent.append(p.formula())
-    _, _, turnstile_pos = p.take("TURNSTILE")
+    i = 0
+    if _KIND.get(tokens[0]) != "|-":
+        f, i = _formula(text, tokens, 0, atoms)
+        antecedent.append(f)
+        while _KIND.get(tokens[i]) == ",":
+            f, i = _formula(text, tokens, i + 1, atoms)
+            antecedent.append(f)
+        if _KIND.get(tokens[i]) != "|-":
+            raise _error(text, i, "expected TURNSTILE, found {}")
+    turnstile = i
     succedent: Succedent = None
-    if p.peek()[0] != "EOF":
-        succedent = p.formula()
-    kind, value, pos = p.peek()
-    if kind != "EOF":
-        raise ParseError(f"unexpected trailing input {value!r}", pos)
-    if not antecedent and succedent is None:
-        raise ParseError("empty judgment: no antecedent and no succedent", turnstile_pos)
+    if tokens[i + 1]:
+        succedent, i = _formula(text, tokens, i + 1, atoms)
+        if tokens[i]:
+            raise _error(text, i, "unexpected trailing input {}")
+    elif not antecedent:
+        raise _error(text, turnstile, "empty judgment: no antecedent and no succedent")
     return Sequent(tuple(antecedent), succedent)
 
 
@@ -402,24 +387,22 @@ def sequent_family(universe: Iterable[Formula], weight_cap: int) -> list[Sequent
     """
     pool = sorted(set(universe), key=formula_key)
     out: list[Sequent] = []
-
-    def extend(start: int, chosen: list[Formula], used: int) -> None:
+    # (next pool index to choose from, chosen antecedent, its weight)
+    stack: list[tuple[int, tuple[Formula, ...], int]] = [(0, (), 0)]
+    while stack:
+        start, chosen, used = stack.pop()
         budget = weight_cap - used
         if chosen:
-            out.append(Sequent(tuple(chosen), None))
+            out.append(Sequent(chosen, None))
         for f in pool:
             if weight(f) > budget:
                 break
-            out.append(Sequent(tuple(chosen), f))
+            out.append(Sequent(chosen, f))
         for i in range(start, len(pool)):
             f = pool[i]
             w = weight(f)
             if w > budget:
                 break
-            chosen.append(f)
-            extend(i + 1, chosen, used + w)
-            chosen.pop()
-
-    extend(0, [], 0)
+            stack.append((i + 1, chosen + (f,), used + w))
     out.sort(key=lambda s: (sequent_weight(s), print_sequent(s)))
     return out

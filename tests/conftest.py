@@ -3,10 +3,10 @@
 import itertools
 import random
 
-from coreseq import And, Atom, Imp, KripkeModel, Neg, Or, Sequent
+from coreseq import And, Atom, Imp, KripkeModel, Neg, Or, ParseError, Sequent
 from coreseq.engine import backward_instances
 from coreseq.intuitionistic import _rooted_posets, _upsets
-from coreseq.syntax import subformulas
+from coreseq.syntax import Formula, Succedent, subformulas
 
 
 def evaluate(f, valuation):
@@ -153,3 +153,159 @@ def random_formula(rng: random.Random, atoms, max_weight):
     left = random_formula(rng, atoms, left_budget)
     right = random_formula(rng, atoms, max_weight - 1 - left_budget)
     return ctor(left, right)
+
+
+# ---------------------------------------------------------------------------
+# Reference parser: the character scanner and recursive-descent parser that
+# `syntax` replaced, kept as they were.  `reference_parse_formula` and
+# `reference_parse_sequent` give the same results, and raise the same
+# ParseError messages at the same positions, as `parse_formula` and
+# `parse_sequent`; they recurse once per nesting level.
+
+_UNICODE_ALIASES = {"¬": "~", "∧": "&", "∨": "|", "→": "->", "⊢": "|-"}
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Produce (kind, value, position) triples; kinds are single tags."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in _UNICODE_ALIASES:
+            alias = _UNICODE_ALIASES[c]
+            kind = {"~": "NOT", "&": "AND", "|": "OR", "->": "IMP", "|-": "TURNSTILE"}[alias]
+            tokens.append((kind, alias, i))
+            i += 1
+            continue
+        if text.startswith("|-", i):
+            tokens.append(("TURNSTILE", "|-", i))
+            i += 2
+            continue
+        if text.startswith("->", i):
+            tokens.append(("IMP", "->", i))
+            i += 2
+            continue
+        if c == "~":
+            tokens.append(("NOT", c, i))
+            i += 1
+            continue
+        if c == "&":
+            tokens.append(("AND", c, i))
+            i += 1
+            continue
+        if c == "|":
+            tokens.append(("OR", c, i))
+            i += 1
+            continue
+        if c == "(":
+            tokens.append(("LPAR", c, i))
+            i += 1
+            continue
+        if c == ")":
+            tokens.append(("RPAR", c, i))
+            i += 1
+            continue
+        if c == ",":
+            tokens.append(("COMMA", c, i))
+            i += 1
+            continue
+        if c.isalpha():
+            j = _ident_end(text, i)
+            tokens.append(("IDENT", text[i:j], i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(("EOF", "", n))
+    return tokens
+
+
+def _ident_end(text: str, i: int) -> int:
+    """The end of the identifier starting at the letter text[i]."""
+    j, n = i + 1, len(text)
+    while j < n and (text[j].isalnum() or text[j] == "_"):
+        j += 1
+    return j
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def take(self, kind: str) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind}, found {tok[1] or 'end of input'!r}", tok[2])
+        self.pos += 1
+        return tok
+
+    def formula(self) -> Formula:
+        left = self.disj()
+        if self.peek()[0] == "IMP":
+            self.take("IMP")
+            return Imp(left, self.formula())
+        return left
+
+    def disj(self) -> Formula:
+        f = self.conj()
+        while self.peek()[0] == "OR":
+            self.take("OR")
+            f = Or(f, self.conj())
+        return f
+
+    def conj(self) -> Formula:
+        f = self.unary()
+        while self.peek()[0] == "AND":
+            self.take("AND")
+            f = And(f, self.unary())
+        return f
+
+    def unary(self) -> Formula:
+        kind, value, pos = self.peek()
+        if kind == "NOT":
+            self.take("NOT")
+            return Neg(self.unary())
+        if kind == "IDENT":
+            self.take("IDENT")
+            return Atom(value)
+        if kind == "LPAR":
+            self.take("LPAR")
+            f = self.formula()
+            self.take("RPAR")
+            return f
+        raise ParseError(f"expected a formula, found {value or 'end of input'!r}", pos)
+
+
+def reference_parse_formula(text: str) -> Formula:
+    p = _Parser(text)
+    f = p.formula()
+    kind, value, pos = p.peek()
+    if kind != "EOF":
+        raise ParseError(f"unexpected trailing input {value!r}", pos)
+    return f
+
+
+def reference_parse_sequent(text: str) -> Sequent:
+    p = _Parser(text)
+    antecedent: list[Formula] = []
+    if p.peek()[0] != "TURNSTILE":
+        antecedent.append(p.formula())
+        while p.peek()[0] == "COMMA":
+            p.take("COMMA")
+            antecedent.append(p.formula())
+    _, _, turnstile_pos = p.take("TURNSTILE")
+    succedent: Succedent = None
+    if p.peek()[0] != "EOF":
+        succedent = p.formula()
+    kind, value, pos = p.peek()
+    if kind != "EOF":
+        raise ParseError(f"unexpected trailing input {value!r}", pos)
+    if not antecedent and succedent is None:
+        raise ParseError("empty judgment: no antecedent and no succedent", turnstile_pos)
+    return Sequent(tuple(antecedent), succedent)

@@ -316,6 +316,36 @@ def test_json_requires_rule_and_conclusion():
         derivation_from_json({"rule": "Ax", "conclusion": 5, "premises": []})
 
 
+@pytest.mark.parametrize(
+    "node, message",
+    [
+        (["Ax"], "derivation node must be an object, got list"),
+        (
+            {"rule": "Ax", "conclusion": "p |- p", "premises": [], "note": "x"},
+            "unknown derivation node keys: ['note']",
+        ),
+        ({"conclusion": "p |- p", "premises": []}, "derivation node needs 'rule' and 'conclusion'"),
+        ({"rule": 3, "conclusion": "p |- p", "premises": []}, "'rule' must be a string"),
+        ({"rule": "Ax", "conclusion": None, "premises": []}, "'conclusion' must be a string"),
+        ({"rule": "Ax", "conclusion": "p |- p", "premises": ()}, "'premises' must be a list"),
+    ],
+)
+def test_json_error_messages(node, message):
+    # each node fails exactly one condition; as the root and as a premise
+    good = {"rule": "Ax", "conclusion": "p |- p", "premises": []}
+    for obj in (node, {"rule": "RAnd", "conclusion": "p |- p & p", "premises": [good, node]}):
+        with pytest.raises(ValueError) as exc:
+            derivation_from_json(obj)
+        assert str(exc.value) == message
+
+
+def test_json_leaf_without_premises_loads():
+    leaf = Derivation(S("p |- p"), "Ax", ())
+    assert derivation_from_json({"rule": "Ax", "conclusion": "p |- p"}) == leaf
+    obj = {"rule": "RAnd", "conclusion": "p |- p & p", "premises": [{"rule": "Ax", "conclusion": "p |- p"}] * 2}
+    assert derivation_from_json(obj) == Derivation(S("p |- p & p"), "RAnd", (leaf, leaf))
+
+
 def test_json_accepts_unknown_rule_names_for_checking():
     d = derivation_from_json({"rule": "Cut", "conclusion": "p |- p", "premises": []})
     v = check_derivation(d)

@@ -1,11 +1,19 @@
+import ast
+import copy
 import gc
+import hashlib
+import pickle
 import random
+import re
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_formula
+import coreseq.syntax
+from conftest import random_formula, reference_parse_formula, reference_parse_sequent
 from coreseq import (
     And,
     Atom,
@@ -102,6 +110,117 @@ def test_parse_sequent_rejects_trailing_garbage():
         parse_sequent("p |- q r")
 
 
+def test_parser_needs_no_recursion():
+    depth = 10_000
+    negations = "~" * depth + "p"
+    conditionals = "p -> " * 2_000 + "q"
+    for text, printed, size in (
+        (negations, negations, depth + 1),
+        ("(" * depth + "p" + ")" * depth, "p", 1),
+        (conditionals, conditionals, 4_001),
+    ):
+        f = parse_formula(text)
+        assert print_formula(f) == printed and weight(f) == size
+        s = parse_sequent(f"{text} |- {text}")
+        assert s.antecedent == (f,) and s.succedent == f
+        del f, s
+
+
+def test_no_syntax_function_calls_itself():
+    """Parsing and enumeration use explicit stacks, so the depth of the
+    input costs memory, not call frames."""
+    tree = ast.parse(Path(coreseq.syntax.__file__).read_text(encoding="utf-8"))
+
+    def calls_itself(fn, call):
+        f = call.func
+        if isinstance(f, ast.Name):
+            return f.id == fn.name
+        return (
+            isinstance(f, ast.Attribute)
+            and isinstance(f.value, ast.Name)
+            and f.value.id == "self"
+            and f.attr == fn.name
+        )
+
+    offenders = [
+        (fn.name, call.lineno)
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call) and calls_itself(fn, call)
+    ]
+    assert offenders == []
+
+
+def test_syntax_imports_only_the_standard_library():
+    tree = ast.parse(Path(coreseq.syntax.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, ast.unparse(node)
+            roots = [node.module.split(".")[0]]
+        else:
+            continue
+        for root in roots:
+            assert root in sys.stdlib_module_names, ast.unparse(node)
+
+
+# -- the reference parser ---------------------------------------------------
+
+# Every token kind, every Unicode alias, the halves of the two-character
+# tokens, and characters that test the identifier and whitespace classes:
+# a superscript digit and a Roman numeral are alphanumeric but not letters,
+# an accented letter is a letter, and \x1c is whitespace.
+_PIECES = [
+    "p", "q", "x1", "B_2", "~", "¬", "&", "∧", "|", "∨", "->", "→", "|-", "⊢",
+    "(", ")", ",", " ", "-", ">", "²", "Ⅻ", "é", "\x1c", "_", "1",
+]
+
+
+def _outcome(parse, text):
+    """The printed result, or the message and position of the ParseError."""
+    try:
+        result = parse(text)
+    except ParseError as e:
+        return ("error", e.message, e.position)
+    return ("ok", str(result) if isinstance(result, Sequent) else print_formula(result))
+
+
+def _agree_with_reference(text):
+    assert _outcome(parse_formula, text) == _outcome(reference_parse_formula, text)
+    assert _outcome(parse_sequent, text) == _outcome(reference_parse_sequent, text)
+
+
+@settings(max_examples=1_000)
+@given(st.lists(st.sampled_from(_PIECES), max_size=16).map("".join))
+def test_parser_agrees_with_the_reference_on_random_strings(text):
+    _agree_with_reference(text)
+
+
+_ALIASES = {"~": "¬", "&": "∧", "|": "∨", "->": "→", "|-": "⊢"}
+_SPACES = ["", "", " ", "  ", "\t", "\n", "\x1c"]
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 10**9))
+def test_parser_agrees_with_the_reference_on_printed_sequents(seed):
+    """Printed random sequents, respelled with random aliases and spacing;
+    every other draw also loses one token, so errors arise where real
+    input goes wrong."""
+    rng = random.Random(seed)
+    ant = [random_formula(rng, ["p", "q", "r1"], 7) for _ in range(rng.randint(0, 3))]
+    succ = None if ant and rng.random() < 0.3 else random_formula(rng, ["p", "q", "r1"], 7)
+    tokens = re.findall(r"\|-|->|\w+|\S", print_sequent(Sequent(ant, succ)))
+    if seed % 2:
+        del tokens[rng.randrange(len(tokens))]
+    text = rng.choice(_SPACES) + "".join(
+        (_ALIASES[t] if t in _ALIASES and rng.random() < 0.5 else t) + rng.choice(_SPACES)
+        for t in tokens
+    )
+    _agree_with_reference(text)
+
+
 # -- printing ---------------------------------------------------------------
 
 
@@ -144,6 +263,44 @@ def test_roundtrip_sequents():
         succ = None if (ant and rng.random() < 0.3) else random_formula(rng, ["p", "q"], 5)
         s = Sequent(ant, succ)
         assert parse_sequent(print_sequent(s)) == s
+
+
+# -- value semantics --------------------------------------------------------
+
+_SAMPLES = [p, Neg(p), And(p, q), Or(p, Neg(q)), Imp(And(p, q), r)]
+_CHILDREN = {Atom: ["name"], Neg: ["sub"], And: ["left", "right"], Or: ["left", "right"], Imp: ["left", "right"]}
+
+
+def test_formula_fields_cannot_be_assigned_or_deleted():
+    for f in _SAMPLES:
+        text = f.text
+        for name in ["text", "weight"] + _CHILDREN[type(f)]:
+            with pytest.raises(AttributeError):
+                setattr(f, name, getattr(f, name))
+            with pytest.raises(AttributeError):
+                delattr(f, name)
+        assert f.text == text and parse_formula(text) == f
+
+
+def test_formulas_survive_copy_deepcopy_and_pickle():
+    for f in _SAMPLES:
+        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert type(g) is type(f)
+            assert g == f and hash(g) == hash(f) and weight(g) == weight(f)
+            assert all(getattr(g, n) == getattr(f, n) for n in _CHILDREN[type(f)])
+
+
+def test_deep_formulas_copy_and_pickle_without_recursion():
+    f = parse_formula("~" * 3_000 + "(p -> q)")
+    for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert type(g) is Neg and g == f and weight(g) == 3_003
+
+
+def test_keyword_construction():
+    assert Atom(name="p") == p
+    assert Neg(sub=p) == Neg(p)
+    for ctor in (And, Or, Imp):
+        assert ctor(left=p, right=Neg(q)) == ctor(p, Neg(q))
 
 
 # -- weights ----------------------------------------------------------------
@@ -270,6 +427,21 @@ def test_formula_universe_subformula_closed():
         Imp(A, B),
         Imp(Neg(A), Imp(A, B)),
     }
+
+
+@pytest.mark.parametrize(
+    "cap, size, digest",
+    [
+        (4, 232, "5efc68a46edf8029a335b1fea5ca83d7a99f73ae0e56cdbafd5f623ed0196411"),
+        (5, 1_080, "ae7147d1842525b972d3041d322bc5a5a6f572f73de2a4f4a3d3c967ec6a62f8"),
+        (6, 5_078, "ccbae679b1296e9deb9aa57f99c778158ebf797851b0229436d17da8117ff2c7"),
+    ],
+)
+def test_sequent_family_is_pinned(cap, size, digest):
+    family = sequent_family(formula_universe(["p", "q"], cap), cap)
+    printed = "\n".join(print_sequent(s) for s in family)
+    assert len(family) == size
+    assert hashlib.sha256(printed.encode()).hexdigest() == digest
 
 
 def test_sequent_family_bounds_and_content():
