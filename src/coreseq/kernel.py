@@ -295,22 +295,6 @@ def derivation_to_json(d: Derivation) -> dict:
     return root
 
 
-def _reject_node(obj) -> None:
-    """Raise the ValueError naming a node's first defect; a leaf may omit 'premises'."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"derivation node must be an object, got {type(obj).__name__}")
-    if not _NODE_KEYS.issuperset(obj):
-        raise ValueError(f"unknown derivation node keys: {sorted(set(obj) - _NODE_KEYS)}")
-    if "rule" not in obj or "conclusion" not in obj:
-        raise ValueError("derivation node needs 'rule' and 'conclusion'")
-    if not isinstance(obj["rule"], str):
-        raise ValueError("'rule' must be a string")
-    if not isinstance(obj["conclusion"], str):
-        raise ValueError("'conclusion' must be a string")
-    if not isinstance(obj.get("premises", []), list):
-        raise ValueError("'premises' must be a list")
-
-
 def derivation_from_json(obj) -> Derivation:
     """Load a tree of derivation objects with an explicit stack.  Nodes are
     validated and parsed in preorder, so the first bad node is reported.  A
@@ -322,15 +306,19 @@ def derivation_from_json(obj) -> Derivation:
     built: list[Derivation] = []
     while stack:
         obj = stack.pop()
-        if not (
-            isinstance(obj, dict)
-            and obj.keys() == _NODE_KEYS
-            and isinstance(obj["rule"], str)
-            and isinstance(obj["conclusion"], str)
-            and isinstance(obj["premises"], list)
-        ):
-            _reject_node(obj)
-        rule, conclusion, premises = obj["rule"], obj["conclusion"], obj.get("premises")
+        if not isinstance(obj, dict):
+            raise ValueError(f"derivation node must be an object, got {type(obj).__name__}")
+        if not _NODE_KEYS.issuperset(obj):
+            raise ValueError(f"unknown derivation node keys: {sorted(set(obj) - _NODE_KEYS)}")
+        if "rule" not in obj or "conclusion" not in obj:
+            raise ValueError("derivation node needs 'rule' and 'conclusion'")
+        rule, conclusion, premises = obj["rule"], obj["conclusion"], obj.get("premises", [])
+        if not isinstance(rule, str):
+            raise ValueError("'rule' must be a string")
+        if not isinstance(conclusion, str):
+            raise ValueError("'conclusion' must be a string")
+        if not isinstance(premises, list):
+            raise ValueError("'premises' must be a list")
         if premises:
             pending.append((parse_sequent(conclusion), rule, len(premises), len(stack)))
             stack += reversed(premises)

@@ -31,8 +31,9 @@ subformulas would, but freed with the formula.
 The tokenizer is one regular expression whose matches are the tokens;
 whitespace matches nothing and so is skipped.  The parser is a loop over
 those tokens with an explicit operator stack, so nesting depth costs
-memory, not call frames.  Token positions are worked out only when a
-`ParseError` is raised.
+memory, not call frames; more than 10^4 levels around one atom is a
+`ParseError`, which bounds the text a deep chain stores.  Token positions
+are worked out only when a `ParseError` is raised.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ class Formula:
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild a formula from its text, which
-        # parses back to an equal tree without recursing however deep it is
+        # parses back to an equal tree without recursing (up to the parser's
+        # nesting bound)
         return parse_formula, (self.text,)
 
 
@@ -238,6 +240,11 @@ _KIND = {
 _BINARY = {"&": (_PREC_AND, And, _PREC_AND), "|": (_PREC_OR, Or, _PREC_OR), "->": (_PREC_IMP, Imp, _PREC_OR)}
 _END, _LPAR, _NEG = (0, None, _PREC_IMP), (0, None, None), (0, Neg, None)
 
+# The most negations, open parentheses and pending binary operators that
+# may enclose one atom.  Every node stores its text, so a chain of depth d
+# holds O(d^2) characters: about 50 MB for a chain of 10^4 negations.
+_MAX_NESTING = 10_000
+
 
 def _error(text: str, i: int, message: str) -> ParseError:
     """The ParseError for token i: at the first character that starts no
@@ -274,6 +281,8 @@ def _formula(text: str, tokens: list[str], i: int, atoms: dict) -> tuple[Formula
             i += 1
             token = tokens[i]
             f = atoms.get(token)
+        if len(stack) > _MAX_NESTING + 1:  # the bottom _LPAR encloses nothing
+            raise _error(text, i, f"formula nested too deeply: more than {_MAX_NESTING} levels around {{}}")
         i += 1
         while True:  # apply negations, reduce, and close parentheses
             while stack[-1] is _NEG:

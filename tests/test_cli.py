@@ -93,6 +93,14 @@ def test_decide_deeply_nested_input_exits_2(capsys):
     assert "Traceback" not in err
 
 
+def test_decide_rejects_input_beyond_the_parsers_nesting_bound(capsys):
+    code, out, err = run(capsys, "decide", "~" * 200_000 + "p |- p", "--json")
+    assert code == 2
+    assert "nested too deeply" in err
+    assert "Traceback" not in err
+    assert json.loads(out)["position"] == 200_000
+
+
 def test_memo_cap_env_produces_resource_exit(capsys, monkeypatch):
     monkeypatch.setenv("CORESEQ_MEMO_CAP", "4")
     code, _, err = run(capsys, "decide", "p -> q, q -> p, p | q |- p & q")

@@ -126,6 +126,19 @@ def test_parser_needs_no_recursion():
         del f, s
 
 
+def test_parser_rejects_nesting_beyond_its_bound():
+    """Each node stores its text, so nesting is bounded: 10^4 levels around
+    one atom parse (above), one more is a ParseError at that atom."""
+    depth = 10_001
+    for text in ("~" * depth + "p", "(" * depth + "p" + ")" * depth, "q -> " * depth + "p"):
+        with pytest.raises(ParseError) as e:
+            parse_formula(text)
+        assert e.value.message == "formula nested too deeply: more than 10000 levels around 'p'"
+        assert e.value.position == text.index("p")
+        with pytest.raises(ParseError):
+            parse_sequent(f"q |- {text}")
+
+
 def test_no_syntax_function_calls_itself():
     """Parsing and enumeration use explicit stacks, so the depth of the
     input costs memory, not call frames."""
