@@ -26,11 +26,11 @@ with D | G == need discharges the principal and one with D | G == the
 whole antecedent retains it, and these are the only pairs whose union
 contains need, so one group serves both base variants and each side
 costs one 2^n scan instead of 2^(n-1) + 2^n.  For RAnd need is the whole
-antecedent.  A side premise is live unless it is settled underivable or
-classically invalid; a live premise with mask m is explored only when the
-other side has a live partner covering need & ~m (a superset-closure
-table over the live masks says so), which
-is exactly the set of goals the listed pairs would reach.  Settlement is
+antecedent.  A side premise is live unless it is settled underivable,
+classically invalid or disconnected; a live premise with mask m is
+explored only when the other side has a live partner covering need & ~m
+(a superset-closure table over the live masks says so), which is exactly
+the set of goals the listed pairs would reach.  Settlement is
 a join, after Knuth's generalisation of Dijkstra's algorithm (D. E. Knuth,
 "A generalization of Dijkstra's algorithm", IPL 6(1), 1977): the group
 keeps the heights of its settled masks, and when a side settles at height
@@ -62,6 +62,25 @@ so the comparisons against the intuitionistic oracle stay non-circular.
 Above TABLE_ATOM_CEILING atoms the tables would be too wide to pay off and
 the filter is switched off; verdicts, minimal heights and derivations are
 the same either way, because a pruned goal was never derivable.
+
+Connectivity filter.  Core logic is relevant: link two formulas of the
+antecedent and the succedent (the antecedent alone under the absurdity
+marker) when they share an atom, and every derivable goal is connected.
+By induction over the rules, in both modes: Ax is connected; LNeg, RNeg,
+LAnd, ROr, RImpA and RImpB replace a premise formula by one whose atoms
+include its atoms (the principal, or the conclusion's succedent), which
+keeps every link; RAnd, LOr and LImp join connected premises through the
+principal or the succedent, which holds the atoms of the formula that
+links each premise to it, and every formula of the conclusion comes from
+a premise.  Each interned formula carries the bitset of its atoms, built
+from its children's like its truth table, and a goal is connected when
+the atoms reached from one of its formulas grow to cover them all.  A
+disconnected goal is settled underivable and counted exactly as a
+classically invalid one; the classical check runs first, so
+countervaluations are those of the classical filter alone.  The fact is
+one about Core's rules, not about intuitionistic logic, and the forward
+closure applies no filter, so engine-vs-closure and Core-vs-intuitionistic
+comparisons stay non-circular.
 
 The forward closure at the bottom of the module is an independent oracle:
 it saturates the sequent space over a fixed formula universe by applying
@@ -147,8 +166,8 @@ class SearchStats:
     retained variant of LOr and LImp), plus one for the root.
     `distinct_goals` counts the goals the query explored plus the
     already-settled goals it looked up; a root settled before the
-    query, or classically invalid, counts 1 and 1.  `max_weight_seen` is
-    the largest weight of an explored goal.
+    query, classically invalid or disconnected, counts 1 and 1.
+    `max_weight_seen` is the largest weight of an explored goal.
     """
 
     goals_expanded: int
@@ -192,7 +211,8 @@ class _FormulaTable:
     `truth[i]` is formula i's truth table: bit v is its value under the
     valuation that makes atom k true exactly when bit k of v is set, atoms
     numbered in `atoms` order.  `full` has a bit for every valuation; past
-    TABLE_ATOM_CEILING atoms it and every table are 0.
+    TABLE_ATOM_CEILING atoms it and every table are 0.  `atom_bits[i]` has
+    bit k set when formula i mentions atom k; it has no ceiling.
     """
 
     def __init__(self):
@@ -204,6 +224,7 @@ class _FormulaTable:
         self.fweight: list[int] = []
         self.rank: list[tuple[int, str]] = []
         self.truth: list[int] = []
+        self.atom_bits: list[int] = []
         self.atoms: list[int] = []
         self.full = 1
 
@@ -211,15 +232,18 @@ class _FormulaTable:
         i = self.by_text.get(f.text)
         if i is not None:
             return i
-        truth = self.truth
+        truth, atom_bits = self.truth, self.atom_bits
         if isinstance(f, Atom):
             node = (_KATOM, -1, -1)
             table = self._new_atom()
+            mentions = 1 << len(self.atoms)
         elif isinstance(f, Neg):
             node = (_KNEG, self.intern(f.sub), -1)
             table = self.full ^ truth[node[1]]
+            mentions = atom_bits[node[1]]
         else:
             a, b = self.intern(f.left), self.intern(f.right)
+            mentions = atom_bits[a] | atom_bits[b]
             if isinstance(f, And):
                 node = (_KAND, a, b)
                 table = truth[a] & truth[b]
@@ -237,6 +261,7 @@ class _FormulaTable:
         self.fweight.append(f.weight)
         self.rank.append(antecedent_key(f))
         truth.append(table)
+        atom_bits.append(mentions)
         if node[0] == _KATOM:
             self.atoms.append(i)
         self.by_text[f.text] = i
@@ -414,6 +439,41 @@ class Engine:
             rows &= truth[a]
         return rows
 
+    def _disconnected(self, g: tuple) -> bool:
+        """Whether the goal's formulas split into two groups sharing no atom.
+
+        Linking two formulas of the antecedent and the succedent (the
+        antecedent alone under the absurdity marker) when they share an
+        atom, the goal is connected when the links join them all.  The
+        atoms reached from one formula grow to a fixpoint; a formula never
+        reached makes the goal disconnected.
+        """
+        bits = self._t.atom_bits
+        ants, succ = g
+        if succ != _ABSURD:
+            reach = bits[succ]
+        elif ants:
+            reach = bits[ants[0]]
+        else:
+            return False
+        apart = []
+        for a in ants:
+            m = bits[a]
+            if m & reach:
+                reach |= m
+            else:
+                apart.append(m)
+        while apart:
+            rest, apart = apart, []
+            for m in rest:
+                if m & reach:
+                    reach |= m
+                else:
+                    apart.append(m)
+            if len(apart) == len(rest):
+                return True
+        return False
+
     def _countervaluation(self, g: tuple) -> Optional[tuple[tuple[str, bool], ...]]:
         """The goal's atoms valued by its lowest failing row, if it has one."""
         rows = self._failing_rows(g)
@@ -577,11 +637,11 @@ class Engine:
         cover the rest of the group's need mask, never with a listed pair.
         """
         settled = self._heights
-        failing_rows = self._failing_rows
+        failing_rows, disconnected = self._failing_rows, self._disconnected
         visits = 1
         maxw = self._goal_weight(root)
-        if root not in settled and failing_rows(root):
-            settled[root] = None  # classically invalid, so underivable
+        if root not in settled and (failing_rows(root) or disconnected(root)):
+            settled[root] = None  # classically invalid or disconnected, so underivable
         if root in settled:
             return SearchStats(visits, 1, maxw, self.mode)
 
@@ -605,9 +665,9 @@ class Engine:
             if p in settled:
                 touched_settled.add(p)
                 return settled[p]
-            if p in nodes or not failing_rows(p):
+            if p in nodes or not (failing_rows(p) or disconnected(p)):
                 return _OPEN
-            settled[p] = None  # classically invalid, so underivable
+            settled[p] = None  # classically invalid or disconnected, so underivable
             touched_settled.add(p)
             return None
 

@@ -32,8 +32,9 @@ The tokenizer is one regular expression whose matches are the tokens;
 whitespace matches nothing and so is skipped.  The parser is a loop over
 those tokens with an explicit operator stack, so nesting depth costs
 memory, not call frames; more than 10^4 levels around one atom is a
-`ParseError`, which bounds the text a deep chain stores.  Token positions
-are worked out only when a `ParseError` is raised.
+`ParseError`, and so is a parse whose node texts exceed 2^27 characters in
+all, which bounds the text that deep or long chains store.  Token
+positions are worked out only when a `ParseError` is raised.
 """
 
 from __future__ import annotations
@@ -245,6 +246,21 @@ _END, _LPAR, _NEG = (0, None, _PREC_IMP), (0, None, None), (0, Neg, None)
 # holds O(d^2) characters: about 50 MB for a chain of 10^4 negations.
 _MAX_NESTING = 10_000
 
+# The most characters the texts of the nodes one parse builds may hold in
+# total.  Flat chains (p & p & ... & p) never nest, yet n operands store
+# about 2n^2 characters; this caps them, and depth times width, at about
+# 128 MB, while a sequent with a 10^4-deep chain on each side (about 10^8
+# characters) still parses.
+_MAX_TEXT = 1 << 27
+_TOO_LARGE = f"formulas too large: their texts exceed {_MAX_TEXT} characters at {{}}"
+
+# Input of at most this many characters is parsed without counting: it
+# builds at most one node per character, and a node's text is at most four
+# times the input it spans (an operator of one character prints as " -> "
+# at worst, and printed parentheses are ones the input needs), so its node
+# texts hold at most 4 * 5000^2 = 10^8 characters.
+_UNCOUNTED_INPUT = 5_000
+
 
 def _error(text: str, i: int, message: str) -> ParseError:
     """The ParseError for token i: at the first character that starts no
@@ -258,9 +274,24 @@ def _error(text: str, i: int, message: str) -> ParseError:
     return ParseError(message.format(repr(_KIND.get(token, token) or "end of input")), pos)
 
 
-def _formula(text: str, tokens: list[str], i: int, atoms: dict) -> tuple[Formula, int]:
+def _budget(text: str) -> Optional[list[int]]:
+    """A parse's text budget: None when the input is too short to exceed
+    _MAX_TEXT, else a one-element list of the characters of node text the
+    parse may still build."""
+    return None if len(text) <= _UNCOUNTED_INPUT else [_MAX_TEXT]
+
+
+def _spend(budget: list[int], f: Formula, text: str, i: int) -> None:
+    """Charge node f's text to the budget, raised at token i."""
+    budget[0] -= len(f.text)
+    if budget[0] < 0:
+        raise _error(text, i, _TOO_LARGE)
+
+
+def _formula(text: str, tokens: list[str], i: int, atoms: dict, budget: Optional[list[int]]) -> tuple[Formula, int]:
     """The formula that starts at token i, and the index of the token after
-    it.  `atoms` holds the atoms built so far in this parse, by name."""
+    it.  `atoms` holds the atoms built so far in this parse, by name, and
+    `budget` (see `_budget`) is charged for every node built."""
     stack = [_LPAR]
     depth = 0  # open parentheses on the stack, the bottom not counted
     while True:
@@ -288,11 +319,15 @@ def _formula(text: str, tokens: list[str], i: int, atoms: dict) -> tuple[Formula
             while stack[-1] is _NEG:
                 stack.pop()
                 f = Neg(f)
+                if budget:
+                    _spend(budget, f, text, i)
             kind = _KIND.get(tokens[i])
             prec, ctor, reduces = _BINARY.get(kind, _END)
             while stack[-1][0] >= reduces:
                 _, c, left = stack.pop()
                 f = c(left, f)
+                if budget:
+                    _spend(budget, f, text, i)
             if ctor is not None or kind != ")" or not depth:
                 break
             stack.pop()
@@ -308,7 +343,7 @@ def _formula(text: str, tokens: list[str], i: int, atoms: dict) -> tuple[Formula
 
 def parse_formula(text: str) -> Formula:
     tokens = _TOKEN.findall(text) + [""]
-    f, i = _formula(text, tokens, 0, {})
+    f, i = _formula(text, tokens, 0, {}, _budget(text))
     if tokens[i]:
         raise _error(text, i, "unexpected trailing input {}")
     return f
@@ -318,19 +353,20 @@ def parse_sequent(text: str) -> Sequent:
     tokens = _TOKEN.findall(text) + [""]
     atoms: dict = {}
     antecedent: list[Formula] = []
+    budget = _budget(text)
     i = 0
     if _KIND.get(tokens[0]) != "|-":
-        f, i = _formula(text, tokens, 0, atoms)
+        f, i = _formula(text, tokens, 0, atoms, budget)
         antecedent.append(f)
         while _KIND.get(tokens[i]) == ",":
-            f, i = _formula(text, tokens, i + 1, atoms)
+            f, i = _formula(text, tokens, i + 1, atoms, budget)
             antecedent.append(f)
         if _KIND.get(tokens[i]) != "|-":
             raise _error(text, i, "expected TURNSTILE, found {}")
     turnstile = i
     succedent: Succedent = None
     if tokens[i + 1]:
-        succedent, i = _formula(text, tokens, i + 1, atoms)
+        succedent, i = _formula(text, tokens, i + 1, atoms, budget)
         if tokens[i]:
             raise _error(text, i, "unexpected trailing input {}")
     elif not antecedent:

@@ -45,6 +45,24 @@ def classically_valid(s):
     )
 
 
+def atom_connected(s):
+    """The formulas of the antecedent and the succedent (the antecedent
+    alone under the absurdity marker), linked when they share an atom, form
+    one connected graph.  Independent of the engine's atom bitsets."""
+    formulas = list(s.antecedent) + ([] if s.succedent is None else [s.succedent])
+    if not formulas:
+        return True
+    atoms = [{g for g in subformulas(f) if isinstance(g, Atom)} for f in formulas]
+    reached, todo = {0}, [0]
+    while todo:
+        i = todo.pop()
+        for j in range(len(formulas)):
+            if j not in reached and atoms[i] & atoms[j]:
+                reached.add(j)
+                todo.append(j)
+    return len(reached) == len(formulas)
+
+
 def brute_countermodel(s, max_worlds):
     """Reference for `countermodel`: every frame of `_rooted_posets` and
     every assignment of its upsets to the sequent's atoms, in the documented

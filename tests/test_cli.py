@@ -3,6 +3,7 @@ import csv
 import inspect
 import io
 import json
+import time
 
 import pytest
 
@@ -99,6 +100,17 @@ def test_decide_rejects_input_beyond_the_parsers_nesting_bound(capsys):
     assert "nested too deeply" in err
     assert "Traceback" not in err
     assert json.loads(out)["position"] == 200_000
+
+
+def test_decide_rejects_a_flat_chain_beyond_the_parsers_text_budget(capsys):
+    # 30,000 operands would store about 1.8e9 characters of node text
+    started = time.perf_counter()
+    code, out, err = run(capsys, "decide", " & ".join(["p"] * 30_000) + " |- p", "--json")
+    assert time.perf_counter() - started < 10
+    assert code == 2
+    assert "formulas too large" in err
+    assert "Traceback" not in err
+    assert json.loads(out)["status"] == "error"
 
 
 def test_memo_cap_env_produces_resource_exit(capsys, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    atom_connected,
     classically_valid,
     falsifies,
     iddfs_min_height,
@@ -46,6 +47,22 @@ from coreseq.syntax import subformulas, weight
 
 S = parse_sequent
 F = parse_formula
+
+
+class _ClassicalOnlyEngine(Engine):
+    """The engine with its connectivity filter off: only classically invalid
+    goals are pruned."""
+
+    def _disconnected(self, g):
+        return False
+
+
+class _UnprunedEngine(_ClassicalOnlyEngine):
+    """The engine with both filters off: every goal counts as classically
+    valid and connected, so nothing is pruned."""
+
+    def _failing_rows(self, g):
+        return 0
 
 
 # -- decide: the pinned verdicts ---------------------------------------------
@@ -231,35 +248,55 @@ def test_filtered_instances_keep_order(mode):
 @pytest.mark.parametrize(
     "text, tennant, strict",
     [
-        # (minimal height or None for unprovable, distinct goals)
-        ("q | ~q, ~(p & q), p & q |- ~(p | q)", (5, 534), (5, 534)),
-        ("~q | (q | r), p |- p", (None, 181), (None, 181)),
-        ("~p | p, ~q, q, r |- r", (None, 197), (None, 197)),
-        ("~p | ~r & p, p, r |-", (3, 170), (None, 163)),
-        ("(r -> ~r) & (r & ~p) |-", (4, 184), (None, 1)),
+        # (minimal height or None for unprovable, distinct goals, distinct
+        # goals with only the classical filter)
+        ("q | ~q, ~(p & q), p & q |- ~(p | q)", (5, 534, 534), (5, 534, 534)),
+        ("~q | (q | r), p |- p", (None, 1, 181), (None, 1, 181)),
+        ("~p | p, ~q, q, r |- r", (None, 1, 197), (None, 1, 197)),
+        ("~p | ~r & p, p, r |-", (3, 170, 170), (None, 163, 163)),
+        ("(r -> ~r) & (r & ~p) |-", (4, 184, 184), (None, 1, 1)),
+        ("p & ~p, ~(p & p), ~q | q |- q & p", (None, 455, 551), (None, 455, 551)),
     ],
 )
 def test_split_heavy_queries(text, tennant, strict):
     # the slowest queries of the random-sequent suites, where LOr, LImp
     # and RAnd have the most premise pairs; the distinct goal counts pin
-    # the explored space, which joining the split sides must not change
+    # the explored space, which joining the split sides must not change.
+    # The second and third roots are disconnected (r and ~p | p share no
+    # atom with the rest), so the connectivity filter settles them at once
     goal = S(text)
-    for mode, (expected, distinct) in (("tennant", tennant), ("strict-table", strict)):
-        res = Engine(mode).decide(goal)
-        stats = res.stats if res.is_provable else res.certificate
-        assert stats.distinct_goals == distinct, mode
-        assert stats.goals_expanded >= stats.distinct_goals
-        if expected is None:
-            assert isinstance(res, Unprovable), mode
-            continue
-        assert isinstance(res, Provable), mode
-        assert res.min_height == expected
-        assert check_derivation(res.derivation) is None
-        assert res.derivation.conclusion == goal
-        assert height(res.derivation) == expected
+    for mode, (expected, distinct, classical) in (("tennant", tennant), ("strict-table", strict)):
+        for eng, pinned in ((Engine(mode), distinct), (_ClassicalOnlyEngine(mode), classical)):
+            res = eng.decide(goal)
+            stats = res.stats if res.is_provable else res.certificate
+            assert stats.distinct_goals == pinned, (mode, type(eng).__name__)
+            assert stats.goals_expanded >= stats.distinct_goals
+            if expected is None:
+                assert isinstance(res, Unprovable), mode
+                continue
+            assert isinstance(res, Provable), mode
+            assert res.min_height == expected
+            assert check_derivation(res.derivation) is None
+            assert res.derivation.conclusion == goal
+            assert height(res.derivation) == expected
 
 
 _FAMILY6 = sequent_family(formula_universe(["p", "q"], 6), 6)
+
+
+def _family6_space(engine_class, mode):
+    """Over the 2-atom weight-6 family: the summed distinct goals on fresh
+    engines and on one shared engine, the shared engine's table size
+    afterwards, and the provable rows with their summed minimal heights."""
+
+    def distinct(res):
+        return (res.stats if res.is_provable else res.certificate).distinct_goals
+
+    fresh = sum(distinct(engine_class(mode).decide(goal)) for goal in _FAMILY6)
+    eng = engine_class(mode)
+    results = [eng.decide(goal) for goal in _FAMILY6]
+    proved = [res.min_height for res in results if res.is_provable]
+    return fresh, sum(map(distinct, results)), len(eng._heights), (len(proved), sum(proved))
 
 
 @pytest.mark.parametrize(
@@ -270,32 +307,37 @@ _FAMILY6 = sequent_family(formula_universe(["p", "q"], 6), 6)
     ],
 )
 def test_split_groups_explore_the_pinned_space(mode, fresh, shared, table, heights):
-    # over the 2-atom weight-6 family, as listing every premise pair gave
-    # them: the summed distinct goals on fresh engines and on one shared
-    # engine, the shared engine's table size afterwards, and the provable
-    # rows with their summed minimal heights.  One split group per LOr and
-    # LImp principal, with the principal's bit free, must explore, settle
-    # and pair exactly the goals of both base variants
-    def distinct(res):
-        return (res.stats if res.is_provable else res.certificate).distinct_goals
+    # with the classical filter alone, as listing every premise pair gave
+    # them.  One split group per LOr and LImp principal, with the
+    # principal's bit free, must explore, settle and pair exactly the goals
+    # of both base variants
+    assert _family6_space(_ClassicalOnlyEngine, mode) == (fresh, shared, table, heights)
 
-    assert sum(distinct(Engine(mode).decide(goal)) for goal in _FAMILY6) == fresh
-    eng = Engine(mode)
-    results = [eng.decide(goal) for goal in _FAMILY6]
-    assert sum(map(distinct, results)) == shared
-    assert len(eng._heights) == table
-    proved = [res.min_height for res in results if res.is_provable]
-    assert (len(proved), sum(proved)) == heights
+
+@pytest.mark.parametrize(
+    "mode, fresh, shared, table, heights",
+    [
+        ("tennant", 16824, 14047, 8812, (768, 1548)),
+        ("strict-table", 12964, 10705, 6958, (654, 1236)),
+    ],
+)
+def test_connectivity_filter_shrinks_the_pinned_space(mode, fresh, shared, table, heights):
+    # the default engine settles disconnected goals unexplored, so it
+    # explores and stores fewer goals and proves the same rows at the same
+    # heights
+    assert _family6_space(Engine, mode) == (fresh, shared, table, heights)
 
 
 def test_unpaired_split_sides_are_not_explored():
     # p, q |- p | p is underivable (there is no weakening), so in each goal
     # below the side premise p |- p & p has no live partner covering q: it
-    # is in no live pair, and is neither explored nor settled.  Only goals
+    # is in no live pair, and is neither explored nor settled.  Goals
     # settled underivable by an earlier query make such sides; classical
-    # validity is monotone in the antecedent, so it never does.
+    # validity is monotone in the antecedent, so it never does.  These goals
+    # are disconnected (q shares no atom with the rest), so the test runs
+    # with the classical filter alone, which must explore them
     for text in ("p, q |- (p & p) & (p | p)", "p, q |- (p | p) & (p & p)"):
-        eng = Engine()
+        eng = _ClassicalOnlyEngine()
         assert not eng.is_provable(S("p, q |- p | p"))
         assert not eng.is_provable(S(text))
         assert eng._intern_goal(S("p |- p & p")) not in eng._heights, text
@@ -354,15 +396,7 @@ def test_memo_cap_ignores_earlier_queries():
     assert eng.min_height(S("r, s |- s & r")) == 1
 
 
-# -- the classical filter ----------------------------------------------------
-
-
-class _UnprunedEngine(Engine):
-    """The engine with its classical filter off: every goal counts as
-    classically valid, so nothing is pruned."""
-
-    def _failing_rows(self, g):
-        return 0
+# -- the classical and connectivity filters -----------------------------------
 
 
 def test_every_instance_is_classically_sound():
@@ -388,6 +422,67 @@ def test_every_instance_is_classically_sound():
                     mode, print_sequent(goal), rule, [print_sequent(p) for p in prems]
                 )
     assert invalid_conclusions > 1000
+
+
+@pytest.mark.parametrize(
+    "atoms, formula_weight, cap, counts",
+    [(["p", "q"], 5, 5, (372, 1580)), (["p", "q", "r"], 3, 5, (1496, 9810))],
+)
+def test_every_instance_is_connectivity_sound(atoms, formula_weight, cap, counts):
+    # the connectivity filter's soundness, exhaustively: an instance whose
+    # conclusion is disconnected always has a disconnected premise, so a
+    # disconnected goal is underivable and pruning it loses nothing.
+    # `counts` pins the disconnected conclusions and their instances, over
+    # both modes
+    family = sequent_family(formula_universe(atoms, formula_weight), cap)
+    connected = {}
+
+    def is_connected(s):
+        if s not in connected:
+            connected[s] = atom_connected(s)
+        return connected[s]
+
+    disconnected_conclusions = instances = 0
+    for mode in ("tennant", "strict-table"):
+        for goal in family:
+            if is_connected(goal):
+                continue
+            disconnected_conclusions += 1
+            for rule, prems in backward_instances(goal, mode):
+                instances += 1
+                assert not all(is_connected(p) for p in prems), (
+                    mode, print_sequent(goal), rule, [print_sequent(p) for p in prems]
+                )
+    assert (disconnected_conclusions, instances) == counts
+
+
+@pytest.mark.parametrize("mode", ["tennant", "strict-table"])
+def test_closure_derives_only_connected_sequents(mode):
+    # the same fact from the independent forward oracle: every sequent it
+    # derives over criterion 6's universe, however heavy, is connected
+    universe = [F(t) for t in ("p", "q", "~p", "~q", "p & q", "p | q", "p -> q", "q -> p", "p -> p")]
+    closure = forward_closure(universe, 10**6, mode=mode)
+    assert len(closure) > 1000
+    assert all(atom_connected(s) for s in closure)
+
+
+def test_disconnected_matches_the_reference():
+    # the engine's bitset fixpoint against the reference graph search, on
+    # every goal of a 3-atom family and on long chains of shared atoms
+    family = sequent_family(formula_universe(["p", "q", "r"], 3), 6)
+    family += [
+        S("p0 & p1, p1 & p2, p2 & p3, p3 & p4 |- p4"),
+        S("p0 & p1, p1 & p2, p2 & p3, p3 & p4 |- p5"),
+        S("p3 & p4, p2 & p3, p1 & p2, p0 & p1 |-"),
+        S("p3 & p4, p0 & p1, p1 & p5 |- p2 | p5"),
+    ]
+    eng = Engine()
+    split = 0
+    for goal in family:
+        apart = eng._disconnected(eng._intern_goal(goal))
+        assert apart == (not atom_connected(goal)), print_sequent(goal)
+        split += apart
+    assert split > len(family) // 4
 
 
 def _same_result(pruned, unpruned, goal):
@@ -451,10 +546,21 @@ def test_countervaluation_falsifies_the_goal():
 
 def test_filter_is_skipped_above_the_atom_ceiling():
     names = [f"x{i}" for i in range(TABLE_ATOM_CEILING + 1)]
-    # classically invalid, yet found underivable by search, not by a table
-    res = decide(Sequent(tuple(Atom(n) for n in names), Atom("y")))
+    eng = Engine()
+    # disconnected, so settled without a table or a search
+    res = eng.decide(Sequent(tuple(Atom(n) for n in names), Atom("y")))
     assert isinstance(res, Unprovable)
     assert res.countervaluation is None
+    assert res.certificate.distinct_goals == 1
+    # connected and classically invalid, yet found underivable by search,
+    # not by a table: the engine now holds more atoms than the ceiling
+    res = eng.decide(S("p | q |- p"))
+    assert isinstance(res, Unprovable)
+    assert res.countervaluation is None
+    assert res.certificate.distinct_goals == 13
+    res = decide(S("p | q |- p"))
+    assert res.countervaluation == (("p", False), ("q", True))
+    assert res.certificate.distinct_goals == 1
     res = decide(Sequent((Atom("x0"),), Atom("y")))
     assert res.countervaluation == (("x0", True), ("y", False))
 

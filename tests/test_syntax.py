@@ -139,6 +139,43 @@ def test_parser_rejects_nesting_beyond_its_bound():
             parse_sequent(f"q |- {text}")
 
 
+def test_parser_bounds_the_text_one_parse_stores():
+    """A flat chain never nests, yet n operands store about 2n^2 characters
+    of node text; once one parse's texts pass 2^27 characters it is a
+    ParseError, and the same holds for depth times width."""
+    budget = coreseq.syntax._MAX_TEXT
+    # the chain of k & nodes stores sum(4j + 1 for j in 1..k) characters
+    fits = max(k for k in range(1, 10_000) if 2 * k * k + 3 * k <= budget)
+    f = parse_formula(" & ".join(["p"] * (fits + 1)))
+    assert weight(f) == 2 * fits + 1
+    del f
+    for text in (
+        " & ".join(["p"] * (fits + 2)),
+        " | ".join(["p"] * 30_000),
+        "~" * 9_000 + "(" + " & ".join(["p"] * 3_000) + ")",
+    ):
+        with pytest.raises(ParseError) as e:
+            parse_formula(text)
+        assert e.value.message.startswith(f"formulas too large: their texts exceed {budget} characters")
+    # the budget is per parse: two chains that each fit do not in one sequent
+    half = " & ".join(["p"] * (fits * 3 // 4))
+    parse_formula(half)
+    with pytest.raises(ParseError, match="too large"):
+        parse_sequent(f"{half} |- {half}")
+    # input up to _UNCOUNTED_INPUT characters is not counted: its densest
+    # chains stay far below the budget
+    n = coreseq.syntax._UNCOUNTED_INPUT
+    for text in ("p→" * (n // 2 - 1) + "p", "p∧" * (n // 2 - 1) + "p", "¬" * (n - 1) + "p"):
+        assert len(text) <= n
+        total, stack = 0, [parse_formula(text)]
+        while stack:
+            g = stack.pop()
+            if not isinstance(g, Atom):
+                total += len(g.text)
+                stack += [g.sub] if isinstance(g, Neg) else [g.left, g.right]
+        assert total < budget // 4
+
+
 def test_no_syntax_function_calls_itself():
     """Parsing and enumeration use explicit stacks, so the depth of the
     input costs memory, not call frames."""
