@@ -113,17 +113,22 @@ def _cmd_decide(args) -> int:
         save_derivation(result.derivation, args.emit_derivation)
         _say(f"derivation written to {args.emit_derivation}")
     if args.json:
-        sys.stdout.write(_dump(_decision_json(result)))
+        out = _decision_json(result)
+        if not isinstance(result, Provable) and result.disconnected:
+            out["disconnected"] = True
+        sys.stdout.write(_dump(out))
     if isinstance(result, Provable):
         _say(f"{print_sequent(goal)}: provable, minimal height {result.min_height}")
         return 0
     cv = result.countervaluation
-    if cv is None:
-        why = f"exhausted {result.certificate.distinct_goals} goals"
-    else:
+    if cv is not None:
         why = "classically invalid: " + ", ".join(
             f"{name} = {str(value).lower()}" for name, value in cv
         )
+    elif result.disconnected:
+        why = "disconnected: its formulas split into groups sharing no atom"
+    else:
+        why = f"exhausted {result.certificate.distinct_goals} goals"
     _say(f"{print_sequent(goal)}: unprovable ({why})")
     return 1
 

@@ -77,10 +77,11 @@ from its children's like its truth table, and a goal is connected when
 the atoms reached from one of its formulas grow to cover them all.  A
 disconnected goal is settled underivable and counted exactly as a
 classically invalid one; the classical check runs first, so
-countervaluations are those of the classical filter alone.  The fact is
-one about Core's rules, not about intuitionistic logic, and the forward
-closure applies no filter, so engine-vs-closure and Core-vs-intuitionistic
-comparisons stay non-circular.
+countervaluations are those of the classical filter alone, and `decide`
+marks a root this filter settled with `Unprovable.disconnected`.  The
+fact is one about Core's rules, not about intuitionistic logic, and the
+forward closure applies no filter, so engine-vs-closure and
+Core-vs-intuitionistic comparisons stay non-circular.
 
 The forward closure at the bottom of the module is an independent oracle:
 it saturates the sequent space over a fixed formula universe by applying
@@ -195,6 +196,10 @@ class Unprovable:
     # falsifies the succedent (or, for the absurdity marker, just
     # satisfies the antecedent)
     countervaluation: Optional[tuple[tuple[str, bool], ...]] = None
+    # set when the goal is classically valid (or past the table ceiling)
+    # but its formulas split into groups sharing no atom, so the
+    # connectivity filter settled it unexplored
+    disconnected: bool = False
 
     @property
     def is_provable(self) -> bool:
@@ -389,7 +394,8 @@ class Engine:
         stats = self._solve(g)
         h = self._heights[g]
         if h is None:
-            return Unprovable(stats, self._countervaluation(g))
+            cv = self._countervaluation(g)
+            return Unprovable(stats, cv, cv is None and self._disconnected(g))
         return Provable(self._extract(g), h, stats)
 
     def is_provable(self, goal: Sequent) -> bool:
@@ -481,20 +487,15 @@ class Engine:
             return None
         v = (rows & -rows).bit_length() - 1
         t = self._t
+        bits = t.atom_bits
         ants, succ = g
-        # every subformula id of the goal; -1 (the absurdity
-        # marker, or a child an atom or negation lacks) names no formula
-        stack = [*ants, succ]
-        mentioned = set()
-        while stack:
-            i = stack.pop()
-            if i >= 0 and i not in mentioned:
-                mentioned.add(i)
-                stack += (t.left[i], t.right[i])
+        mentioned = 0 if succ == _ABSURD else bits[succ]
+        for a in ants:
+            mentioned |= bits[a]
         return tuple(sorted(
             (t.obj[i].name, bool(v >> k & 1))
             for k, i in enumerate(t.atoms)
-            if i in mentioned
+            if mentioned >> k & 1
         ))
 
     def _insert(self, ants: tuple[int, ...], x: int) -> tuple[int, ...]:

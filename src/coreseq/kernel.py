@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
-from .syntax import And, Imp, Neg, Or, Sequent, parse_sequent, print_sequent
+from .syntax import And, FrozenSlots, Imp, Neg, Or, Sequent, parse_sequent, print_sequent
 
 MODES = ("tennant", "strict-table")
 
@@ -242,11 +242,63 @@ def check_rule(
 # Derivations
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(FrozenSlots):
+    """A rule application and the derivations of its premises.
+
+    `==` and `hash` walk the tree with explicit stacks, so they work at any
+    depth the loader builds.
+    """
+
+    __slots__ = ("conclusion", "rule", "premises")
+
     conclusion: Sequent
     rule: str
-    premises: tuple["Derivation", ...] = ()
+    premises: tuple["Derivation", ...]
+
+    def __init__(self, conclusion: Sequent, rule: str, premises: Sequence["Derivation"] = ()):
+        _set_conclusion(self, conclusion)
+        _set_rule(self, rule)
+        _set_premises(self, tuple(premises))
+
+    def __eq__(self, other):
+        if not isinstance(other, Derivation):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.rule != b.rule or len(a.premises) != len(b.premises) or a.conclusion != b.conclusion:
+                return False
+            stack += zip(a.premises, b.premises)
+        return True
+
+    def __hash__(self):
+        # postorder: a node's hash combines its conclusion, its rule and
+        # its premises' hashes, which are the last ones on `done`
+        done: list[int] = []
+        stack: list[tuple[Derivation, bool]] = [(self, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if not expanded:
+                stack.append((node, True))
+                stack += [(p, False) for p in reversed(node.premises)]
+                continue
+            k = len(done) - len(node.premises)
+            h = hash((node.conclusion, node.rule, tuple(done[k:])))
+            del done[k:]
+            done.append(h)
+        return done[0]
+
+    def __repr__(self):
+        return f"Derivation(conclusion={self.conclusion!r}, rule={self.rule!r}, premises={self.premises!r})"
+
+    def __reduce__(self):
+        return Derivation, (self.conclusion, self.rule, self.premises)
+
+
+_set_conclusion, _set_rule = Derivation.conclusion.__set__, Derivation.rule.__set__
+_set_premises = Derivation.premises.__set__
 
 
 def height(d: Derivation) -> int:

@@ -14,7 +14,11 @@ A sequent's succedent is either a formula or the absurdity marker (an
 empty right-hand side, written ``|-`` with nothing after it).  The
 marker is represented as ``None`` and never occurs inside a formula.
 Antecedents are finite sets, stored canonically ordered and
-duplicate-free.
+duplicate-free.  A `Sequent` is a plain object with ``__slots__`` that
+holds only its two fields: its constructor deduplicates and orders the
+antecedent once (an antecedent of fewer than two formulas needs neither),
+no field can be assigned or deleted afterwards, and `==` and `hash` are
+those of the pair (antecedent, succedent).
 
 A formula is identified by its canonical text.  Each node is a plain
 object with ``__slots__`` whose constructor computes its weight and its
@@ -24,9 +28,11 @@ and `hash` are those of the text.  Text works as identity because the
 printer is injective: its output parses back to the same tree.  That
 needs every atom name to be an identifier (a letter, then letters, digits
 or underscores: what the tokenizer reads as one word), so `Atom` rejects
-any other name with `ValueError`.  Each node stores its own text, so a
-chain of depth d holds O(d^2) characters: as much as a cache of printed
-subformulas would, but freed with the formula.
+any other name with `ValueError`.  The parser reads an atom only from a
+word that starts with a letter, which is such an identifier, so it fills
+the atom's slots without checking the name again.  Each node stores its
+own text, so a chain of depth d holds O(d^2) characters: as much as a
+cache of printed subformulas would, but freed with the formula.
 
 The tokenizer is one regular expression whose matches are the tokens;
 whitespace matches nothing and so is skipped.  The parser is a loop over
@@ -40,7 +46,6 @@ positions are worked out only when a `ParseError` is raised.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 
@@ -63,7 +68,21 @@ _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_NEG, _PREC_ATOM = 1, 2, 3, 4, 5
 _TOKEN = re.compile(r"\|-|->|\w+|\S")
 
 
-class Formula:
+class FrozenSlots:
+    """Base of the classes whose slots are written once, by their
+    constructors through the slot descriptors, and never assigned or
+    deleted afterwards."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Formula(FrozenSlots):
     """A formula node.  `weight` (the node count) and `text` (the canonical
     form) are set once, at construction, from the children's fields."""
 
@@ -76,12 +95,6 @@ class Formula:
 
     def __hash__(self):
         return hash(self.text)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self):
         return f"{type(self).__name__}({self.text!r})"
@@ -100,9 +113,7 @@ class Atom(Formula):
     def __init__(self, name: str):
         if not (isinstance(name, str) and name[:1].isalpha() and _TOKEN.fullmatch(name)):
             raise ValueError(f"atom name {name!r} is not an identifier")
-        _set_name(self, name)
-        _set_weight(self, 1)
-        _set_text(self, name)
+        _fill_atom(self, name)
 
 
 class Neg(Formula):
@@ -146,11 +157,20 @@ class Imp(_Binary):
     _prec, _op, _bare_left, _bare_right = _PREC_IMP, "->", _PREC_OR, _PREC_IMP
 
 
-# Formula.__setattr__ refuses every assignment, so constructors write the
-# slots through their descriptors.
+# The parser builds the atoms it has already validated with _new and
+# _fill_atom.
+_new = object.__new__
 _set_weight, _set_text = Formula.weight.__set__, Formula.text.__set__
 _set_name, _set_sub = Atom.name.__set__, Neg.sub.__set__
 _set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
+
+
+def _fill_atom(a: Atom, name: str) -> Atom:
+    """Write an atom's slots; `name` must already be an identifier."""
+    _set_name(a, name)
+    _set_weight(a, 1)
+    _set_text(a, name)
+    return a
 
 
 def weight(f: Formula) -> int:
@@ -181,8 +201,7 @@ def antecedent_key(f: Formula) -> tuple[int, str]:
 Succedent = Optional[Formula]
 
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(FrozenSlots):
     """Finite-set antecedent plus a single succedent.
 
     The antecedent may be passed as any iterable; it is deduplicated and
@@ -190,18 +209,40 @@ class Sequent:
     compare and hash equal.
     """
 
+    __slots__ = ("antecedent", "succedent")
+
     antecedent: tuple[Formula, ...]
     succedent: Succedent
 
-    def __post_init__(self):
-        ant = tuple(sorted(set(self.antecedent), key=antecedent_key))
-        object.__setattr__(self, "antecedent", ant)
+    def __init__(self, antecedent: Iterable[Formula], succedent: Succedent):
+        ant = tuple(antecedent)
+        if len(ant) > 1:
+            ant = tuple(sorted(set(ant), key=antecedent_key))
+        _set_antecedent(self, ant)
+        _set_succedent(self, succedent)
+
+    def __eq__(self, other):
+        if isinstance(other, Sequent):
+            return self.antecedent == other.antecedent and self.succedent == other.succedent
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.antecedent, self.succedent))
+
+    def __repr__(self):
+        return f"Sequent(antecedent={self.antecedent!r}, succedent={self.succedent!r})"
+
+    def __reduce__(self):
+        return Sequent, (self.antecedent, self.succedent)
 
     def antecedent_set(self) -> frozenset[Formula]:
         return frozenset(self.antecedent)
 
     def __str__(self) -> str:
         return print_sequent(self)
+
+
+_set_antecedent, _set_succedent = Sequent.antecedent.__set__, Sequent.succedent.__set__
 
 
 def print_sequent(s: Sequent) -> str:
@@ -305,7 +346,8 @@ def _formula(text: str, tokens: list[str], i: int, atoms: dict, budget: Optional
                 stack.append(_LPAR)
                 depth += 1
             elif kind is None and token[0].isalpha():
-                f = atoms[token] = Atom(token)
+                # a word token starting with a letter is an identifier
+                f = atoms[token] = _fill_atom(_new(Atom), token)
                 break
             else:
                 raise _error(text, i, "expected a formula, found {}")

@@ -80,11 +80,19 @@ def test_decide_prints_countervaluation_of_classically_invalid_goal(capsys):
     assert code == 1
     assert json.loads(out)["countervaluation"] == {"p": True, "q": False, "r": False}
     assert "classically invalid: p = true, q = false, r = false" in err
-    # a classically valid root is exhausted by search and has no countervaluation
+    # a classically valid but disconnected root is settled by the
+    # connectivity filter and has no countervaluation
     code, out, err = run(capsys, "decide", "~A, A |- B", "--json")
     assert code == 1
     assert "countervaluation" not in json.loads(out)
-    assert "exhausted 1 goals" in err
+    assert json.loads(out)["disconnected"] is True
+    assert "unprovable (disconnected: its formulas split into groups sharing no atom)" in err
+    # a classically valid, connected root is exhausted by search
+    code, out, err = run(capsys, "decide", "(p -> q) -> p |- p", "--json")
+    assert code == 1
+    assert "countervaluation" not in json.loads(out)
+    assert "disconnected" not in json.loads(out)
+    assert "unprovable (exhausted 3 goals)" in err
 
 
 def test_decide_deeply_nested_input_exits_2(capsys):

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import random
 import tracemalloc
 import types
@@ -544,19 +545,76 @@ def test_countervaluation_falsifies_the_goal():
     assert certified > 300
 
 
+def _reference_countervaluation(eng, goal):
+    """The lowest of the engine's rows that falsifies the goal, valuing only
+    the atoms `syntax.subformulas` finds in the goal: every other atom is
+    false in the lowest row.  Rows are read off the atoms' order in the
+    engine, not from its truth tables or atom bitsets."""
+    t = eng._t
+    position = {t.obj[i].name: k for k, i in enumerate(t.atoms)}
+    names = sequent_atoms(goal)
+    rows = sorted(
+        (sum(1 << position[n] for n, b in zip(names, bits) if b), bits)
+        for bits in itertools.product((False, True), repeat=len(names))
+    )
+    for _, bits in rows:
+        if falsifies(dict(zip(names, bits)), goal):
+            return tuple(zip(names, bits))
+    return None
+
+
+@pytest.mark.parametrize("mode", ["tennant", "strict-table"])
+def test_countervaluation_matches_the_reference(mode):
+    shared = Engine(mode)
+    # s and t become atoms 0 and 1, so the family's atoms sit above them
+    assert shared.decide(S("s, t |- s & t")).is_provable
+    certified = 0
+    for goal in sequent_family(formula_universe(["p", "q"], 6), 6):
+        fresh = Engine(mode)
+        got = fresh._countervaluation(fresh._intern_goal(goal))
+        assert got == _reference_countervaluation(fresh, goal), print_sequent(goal)
+        res = shared.decide(goal)
+        want = _reference_countervaluation(shared, goal)
+        assert (None if res.is_provable else res.countervaluation) == want, print_sequent(goal)
+        certified += want is not None
+    assert certified > 2000
+
+
+def test_decide_marks_roots_the_connectivity_filter_settled():
+    eng = Engine()
+    marked = 0
+    for goal in sequent_family(formula_universe(["p", "q", "r"], 3), 5):
+        res = eng.decide(goal)
+        if res.is_provable:
+            continue
+        apart = res.countervaluation is None and not atom_connected(goal)
+        assert res.disconnected == apart, print_sequent(goal)
+        marked += apart
+    assert marked > 100
+    # the classical check comes first
+    res = decide(S("p |- q"))
+    assert res.countervaluation == (("p", True), ("q", False)) and not res.disconnected
+    res = decide(S("~A, A |- B"))
+    assert res.countervaluation is None and res.disconnected
+    assert res.certificate.distinct_goals == 1
+    res = decide(S("(p -> q) -> p |- p"))
+    assert res.countervaluation is None and not res.disconnected
+    assert res.certificate.distinct_goals == 3
+
+
 def test_filter_is_skipped_above_the_atom_ceiling():
     names = [f"x{i}" for i in range(TABLE_ATOM_CEILING + 1)]
     eng = Engine()
     # disconnected, so settled without a table or a search
     res = eng.decide(Sequent(tuple(Atom(n) for n in names), Atom("y")))
     assert isinstance(res, Unprovable)
-    assert res.countervaluation is None
+    assert res.countervaluation is None and res.disconnected
     assert res.certificate.distinct_goals == 1
     # connected and classically invalid, yet found underivable by search,
     # not by a table: the engine now holds more atoms than the ceiling
     res = eng.decide(S("p | q |- p"))
     assert isinstance(res, Unprovable)
-    assert res.countervaluation is None
+    assert res.countervaluation is None and not res.disconnected
     assert res.certificate.distinct_goals == 13
     res = decide(S("p | q |- p"))
     assert res.countervaluation == (("p", False), ("q", True))

@@ -1,4 +1,6 @@
 import ast
+import copy
+import pickle
 import sys
 from pathlib import Path
 
@@ -377,15 +379,23 @@ def test_kernel_imports_only_the_standard_library_and_syntax():
             assert root in sys.stdlib_module_names, ast.unparse(node)
 
 
-def test_deep_derivation_loads_checks_and_serializes():
-    # p -> p, p |- p by LImp from p |- p and itself again (the principal is
-    # retained), stacked 10^4 high: the loader, the checker, the serializer
-    # and height walk it without recursion
-    depth = 10_000
-    ax = {"rule": "Ax", "conclusion": "p |- p", "premises": []}
-    obj = {"rule": "LImp", "conclusion": "p -> p, p |- p", "premises": [ax, ax]}
+_AX = {"rule": "Ax", "conclusion": "p |- p", "premises": []}
+
+
+def _limp_tower(depth, deepest):
+    """p -> p, p |- p by LImp from p |- p and itself again (the principal is
+    retained), stacked `depth` high on the leaf `deepest`, as JSON."""
+    obj = {"rule": "LImp", "conclusion": "p -> p, p |- p", "premises": [_AX, deepest]}
     for _ in range(depth - 1):
-        obj = {"rule": "LImp", "conclusion": "p -> p, p |- p", "premises": [ax, obj]}
+        obj = {"rule": "LImp", "conclusion": "p -> p, p |- p", "premises": [_AX, obj]}
+    return obj
+
+
+def test_deep_derivation_loads_checks_and_serializes():
+    # the loader, the checker, the serializer and height walk a tower 10^4
+    # high without recursion
+    depth = 10_000
+    obj = _limp_tower(depth, _AX)
     d = derivation_from_json(obj)
     assert check_derivation(d) is None
     assert height(d) == depth
@@ -399,6 +409,41 @@ def test_deep_derivation_loads_checks_and_serializes():
         pairs += zip(got["premises"], want["premises"])
         nodes += 1
     assert nodes == 2 * depth + 1
+
+
+def test_deep_derivations_compare_and_hash_without_recursion():
+    depth = 10_000
+    a = derivation_from_json(_limp_tower(depth, _AX))
+    b = derivation_from_json(_limp_tower(depth, _AX))
+    assert a is not b and a.premises[1] is not b.premises[1]
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    # towers that differ only in the deepest leaf
+    for deepest in ({**_AX, "conclusion": "q |- q"}, {**_AX, "rule": "RNeg"}):
+        c = derivation_from_json(_limp_tower(depth, deepest))
+        assert a != c and c != a and not a == c
+        hash(c)
+
+
+def test_derivation_value_semantics():
+    leaf = Derivation(S("p |- p"), "Ax")
+    d = Derivation(S("p -> p, p |- p"), "LImp", [leaf, leaf])
+    assert d.premises == (leaf, leaf)
+    assert d == Derivation(conclusion=S("p, p -> p |- p"), rule="LImp", premises=(leaf, leaf))
+    assert d != Derivation(S("p -> p, p |- p"), "LImp", (leaf,))
+    assert d != Derivation(S("p -> p, p |- p"), "LOr", (leaf, leaf))
+    assert (d == S("p -> p, p |- p")) is False
+    assert {d, Derivation(S("p -> p, p |- p"), "LImp", (leaf, leaf))} == {d}
+    assert repr(leaf) == (
+        "Derivation(conclusion=Sequent(antecedent=(Atom('p'),), succedent=Atom('p')), rule='Ax', premises=())"
+    )
+    for name in ("conclusion", "rule", "premises"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, getattr(d, name))
+        with pytest.raises(AttributeError):
+            delattr(d, name)
+    for e in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert e == d and hash(e) == hash(d)
 
 
 def test_json_errors_name_the_first_bad_node_in_preorder():

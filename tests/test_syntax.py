@@ -353,6 +353,75 @@ def test_keyword_construction():
         assert ctor(left=p, right=Neg(q)) == ctor(p, Neg(q))
 
 
+# -- sequents ----------------------------------------------------------------
+
+
+def test_sequent_dedupes_and_orders_its_antecedent():
+    assert Sequent((), p).antecedent == ()
+    assert Sequent([q], None).antecedent == (q,)
+    # heavier first, ties by text, duplicates dropped
+    ordered = (Imp(p, q), Neg(q), p)
+    assert Sequent((p, Neg(q), Imp(p, q)), r).antecedent == ordered
+    assert Sequent([p, Imp(p, q), p, Neg(q), Imp(p, q)], r).antecedent == ordered
+    assert Sequent((f for f in (Neg(q), p, Imp(p, q), p)), r).antecedent == ordered
+    assert Sequent((f for f in [q]), None).antecedent == (q,)
+    assert Sequent(iter(()), q).antecedent == ()
+    assert type(Sequent([q, p], None).antecedent) is tuple
+
+
+def test_sequent_keyword_construction():
+    s = Sequent(antecedent=(q, p), succedent=r)
+    assert s == Sequent((p, q), r)
+    assert s.antecedent == (p, q) and s.succedent == r
+    assert Sequent(succedent=None, antecedent=[p]) == parse_sequent("p |-")
+
+
+def test_sequent_equality_and_hash():
+    a = Sequent((Neg(p), p, q), r)
+    b = parse_sequent("q, p, ~p, q |- r")
+    assert a == b and hash(a) == hash(b)
+    assert {a, b} == {a}
+    assert a != Sequent((Neg(p), p), r)
+    assert a != Sequent(a.antecedent, None)
+    assert Sequent((p,), None) != Sequent((), p)
+    assert Sequent((p,), q) != Sequent((q,), p)
+    for other in (None, 0, "q, p, ~p |- r", (a.antecedent, a.succedent), p):
+        assert (a == other) is False
+        assert (a != other) is True
+
+
+def test_sequent_repr_and_str():
+    s = Sequent((p, Neg(p)), q)
+    assert repr(s) == "Sequent(antecedent=(Neg('~p'), Atom('p')), succedent=Atom('q'))"
+    assert str(s) == "~p, p |- q"
+    absurd = Sequent((And(p, q),), None)
+    assert repr(absurd) == "Sequent(antecedent=(And('p & q'),), succedent=None)"
+    assert str(absurd) == "p & q |-"
+    assert repr(Sequent((), p)) == "Sequent(antecedent=(), succedent=Atom('p'))"
+    assert str(Sequent((), p)) == "|- p"
+
+
+def test_sequent_fields_cannot_be_assigned_or_deleted():
+    s = Sequent((p, q), r)
+    for name in ("antecedent", "succedent"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, getattr(s, name))
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    with pytest.raises(AttributeError):
+        s.extra = 1
+    assert s == Sequent((p, q), r)
+
+
+def test_sequents_survive_copy_deepcopy_and_pickle():
+    for s in (Sequent((p, Neg(q), Imp(p, q)), r), Sequent((And(p, q),), None), Sequent((), Or(p, q))):
+        for t in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert type(t) is Sequent
+            assert t == s and hash(t) == hash(s)
+            assert t.antecedent == s.antecedent and t.succedent == s.succedent
+            assert str(t) == str(s)
+
+
 # -- weights ----------------------------------------------------------------
 
 
