@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -78,15 +77,24 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _stats_json(stats) -> dict:
+    return {
+        "goals_expanded": stats.goals_expanded,
+        "distinct_goals": stats.distinct_goals,
+        "max_weight_seen": stats.max_weight_seen,
+        "mode": stats.mode,
+    }
+
+
 def _decision_json(result) -> dict:
     if isinstance(result, Provable):
         return {
             "status": "provable",
             "min_height": result.min_height,
             "derivation": derivation_to_json(result.derivation),
-            "stats": dataclasses.asdict(result.stats),
+            "stats": _stats_json(result.stats),
         }
-    out = {"status": "unprovable", "stats": dataclasses.asdict(result.certificate)}
+    out = {"status": "unprovable", "stats": _stats_json(result.certificate)}
     if result.countervaluation is not None:
         out["countervaluation"] = dict(result.countervaluation)
     return out

@@ -83,6 +83,16 @@ fact is one about Core's rules, not about intuitionistic logic, and the
 forward closure applies no filter, so engine-vs-closure and
 Core-vs-intuitionistic comparisons stay non-circular.
 
+Root step.  Every query (`decide`, `min_height` and so `is_provable`)
+first runs one root step, `_settle_root`: the memo, then the classical
+filter, then the connectivity filter, and only then the search.  A root
+the memo or a filter settles never reaches `_solve`, which starts at
+exploration and has no root check of its own.  The step calls the filters
+through the engine, so a subclass that overrides one steers the root as
+it steers every premise.  `min_height` reports no statistics, so such a
+root costs it a dictionary lookup and at most the two filters; `decide`
+reports one goal expanded and one distinct for it.
+
 The forward closure at the bottom of the module is an independent oracle:
 it saturates the sequent space over a fixed formula universe by applying
 the rules forwards, and must agree with the backward engine on every
@@ -96,7 +106,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .kernel import MODES, RULE_NAMES, Derivation
@@ -104,11 +113,11 @@ from .syntax import (
     And,
     Atom,
     Formula,
+    FrozenSlots,
     Imp,
     Neg,
     Or,
     Sequent,
-    antecedent_key,
     formula_key,
     is_subformula_closed,
     print_formula,
@@ -130,6 +139,7 @@ CLOSURE_FORMULA_CEILING = 20
 _ABSURD = -1
 
 _KATOM, _KNEG, _KAND, _KOR, _KIMP = range(5)
+_KIND_OF = {Atom: _KATOM, Neg: _KNEG, And: _KAND, Or: _KOR, Imp: _KIMP}
 
 (
     _AX,
@@ -149,7 +159,8 @@ _KATOM, _KNEG, _KAND, _KOR, _KIMP = range(5)
 _SPLIT_RULES = (_RAND, _LOR, _LIMP)
 _ONE_PREMISE_RULES = tuple(r for r in range(11) if r not in _SPLIT_RULES)
 
-# a premise lookup's answer for a goal that may still be derived
+# the answer of a premise lookup or of the root step for a goal that may
+# still be derived
 _OPEN = -1
 
 
@@ -157,8 +168,35 @@ class ResourceLimitError(RuntimeError):
     """Search or saturation exceeded its configured size cap."""
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class _Record(FrozenSlots):
+    """Value semantics over the slots, in slot order, as a frozen dataclass
+    gives them: `==` between instances of one class, `hash` of the field
+    tuple, a `Name(field=value, ...)` repr, and copy and pickle through the
+    positional constructor.  Each subclass writes its slots in `__init__`
+    through the slot descriptors."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class SearchStats(_Record):
     """Effort of one query.
 
     `goals_expanded` counts the premise lookups the search made (one per
@@ -171,39 +209,79 @@ class SearchStats:
     `max_weight_seen` is the largest weight of an explored goal.
     """
 
+    __slots__ = ("goals_expanded", "distinct_goals", "max_weight_seen", "mode")
+
     goals_expanded: int
     distinct_goals: int
     max_weight_seen: int
     mode: str
 
+    def __init__(self, goals_expanded: int, distinct_goals: int, max_weight_seen: int, mode: str):
+        _set_goals_expanded(self, goals_expanded)
+        _set_distinct_goals(self, distinct_goals)
+        _set_max_weight_seen(self, max_weight_seen)
+        _set_mode(self, mode)
 
-@dataclass(frozen=True)
-class Provable:
+
+_set_goals_expanded = SearchStats.goals_expanded.__set__
+_set_distinct_goals = SearchStats.distinct_goals.__set__
+_set_max_weight_seen = SearchStats.max_weight_seen.__set__
+_set_mode = SearchStats.mode.__set__
+
+
+class Provable(_Record):
+    __slots__ = ("derivation", "min_height", "stats")
+
     derivation: Derivation
     min_height: int
     stats: SearchStats
+
+    def __init__(self, derivation: Derivation, min_height: int, stats: SearchStats):
+        _set_derivation(self, derivation)
+        _set_min_height(self, min_height)
+        _set_stats(self, stats)
 
     @property
     def is_provable(self) -> bool:
         return True
 
 
-@dataclass(frozen=True)
-class Unprovable:
+_set_derivation, _set_min_height = Provable.derivation.__set__, Provable.min_height.__set__
+_set_stats = Provable.stats.__set__
+
+
+class Unprovable(_Record):
+    # countervaluation: (atom name, truth value) pairs sorted by name, set
+    # when the goal is classically invalid: the valuation satisfies the
+    # antecedent and falsifies the succedent (or, for the absurdity
+    # marker, just satisfies the antecedent).
+    # disconnected: set when the goal is classically valid (or past the
+    # table ceiling) but its formulas split into groups sharing no atom,
+    # so the connectivity filter settled it unexplored.
+    __slots__ = ("certificate", "countervaluation", "disconnected")
+
     certificate: SearchStats
-    # (atom name, truth value) pairs sorted by name, set when the goal is
-    # classically invalid: the valuation satisfies the antecedent and
-    # falsifies the succedent (or, for the absurdity marker, just
-    # satisfies the antecedent)
-    countervaluation: Optional[tuple[tuple[str, bool], ...]] = None
-    # set when the goal is classically valid (or past the table ceiling)
-    # but its formulas split into groups sharing no atom, so the
-    # connectivity filter settled it unexplored
-    disconnected: bool = False
+    countervaluation: Optional[tuple[tuple[str, bool], ...]]
+    disconnected: bool
+
+    def __init__(
+        self,
+        certificate: SearchStats,
+        countervaluation: Optional[tuple[tuple[str, bool], ...]] = None,
+        disconnected: bool = False,
+    ):
+        _set_certificate(self, certificate)
+        _set_countervaluation(self, countervaluation)
+        _set_disconnected(self, disconnected)
 
     @property
     def is_provable(self) -> bool:
         return False
+
+
+_set_certificate = Unprovable.certificate.__set__
+_set_countervaluation = Unprovable.countervaluation.__set__
+_set_disconnected = Unprovable.disconnected.__set__
 
 
 DecisionResult = Union[Provable, Unprovable]
@@ -238,36 +316,36 @@ class _FormulaTable:
         if i is not None:
             return i
         truth, atom_bits = self.truth, self.atom_bits
-        if isinstance(f, Atom):
-            node = (_KATOM, -1, -1)
+        k = _KIND_OF[f.__class__]
+        if k == _KATOM:
+            a = b = -1
             table = self._new_atom()
             mentions = 1 << len(self.atoms)
-        elif isinstance(f, Neg):
-            node = (_KNEG, self.intern(f.sub), -1)
-            table = self.full ^ truth[node[1]]
-            mentions = atom_bits[node[1]]
+        elif k == _KNEG:
+            a, b = self.intern(f.sub), -1
+            table = self.full ^ truth[a]
+            mentions = atom_bits[a]
         else:
             a, b = self.intern(f.left), self.intern(f.right)
             mentions = atom_bits[a] | atom_bits[b]
-            if isinstance(f, And):
-                node = (_KAND, a, b)
+            if k == _KAND:
                 table = truth[a] & truth[b]
-            elif isinstance(f, Or):
-                node = (_KOR, a, b)
+            elif k == _KOR:
                 table = truth[a] | truth[b]
             else:
-                node = (_KIMP, a, b)
                 table = (self.full ^ truth[a]) | truth[b]
         i = len(self.obj)
         self.obj.append(f)
-        self.kind.append(node[0])
-        self.left.append(node[1])
-        self.right.append(node[2])
-        self.fweight.append(f.weight)
-        self.rank.append(antecedent_key(f))
+        self.kind.append(k)
+        self.left.append(a)
+        self.right.append(b)
+        w = f.weight
+        self.fweight.append(w)
+        # antecedent_key, built inline
+        self.rank.append((-w, f.text))
         truth.append(table)
         atom_bits.append(mentions)
-        if node[0] == _KATOM:
+        if k == _KATOM:
             self.atoms.append(i)
         self.by_text[f.text] = i
         return i
@@ -391,8 +469,12 @@ class Engine:
 
     def decide(self, goal: Sequent) -> DecisionResult:
         g = self._intern_goal(goal)
-        stats = self._solve(g)
-        h = self._heights[g]
+        h = self._settle_root(g)
+        if h == _OPEN:
+            stats = self._solve(g)
+            h = self._heights[g]
+        else:
+            stats = SearchStats(1, 1, self._goal_weight(g), self.mode)
         if h is None:
             cv = self._countervaluation(g)
             return Unprovable(stats, cv, cv is None and self._disconnected(g))
@@ -402,9 +484,14 @@ class Engine:
         return self.min_height(goal) is not None
 
     def min_height(self, goal: Sequent) -> Optional[int]:
+        """The goal's minimal height, None when it is underivable.  Reports
+        no statistics, so a root the root step settles costs no search."""
         g = self._intern_goal(goal)
-        self._solve(g)
-        return self._heights[g]
+        h = self._settle_root(g)
+        if h == _OPEN:
+            self._solve(g)
+            h = self._heights[g]
+        return h
 
     # -- representation --
 
@@ -628,8 +715,23 @@ class Engine:
 
     # -- solving --
 
+    def _settle_root(self, g: tuple) -> Optional[int]:
+        """The root step every query runs first: the memo, then the
+        classical filter, then the connectivity filter.
+
+        Returns the root's minimal height, None when it is underivable, or
+        _OPEN when only a search can tell.  A root either filter refutes is
+        settled None here, so `_solve` only ever starts from an open root.
+        """
+        settled = self._heights
+        h = settled.get(g, _OPEN)
+        if h == _OPEN and (self._failing_rows(g) or self._disconnected(g)):
+            h = settled[g] = None  # classically invalid or disconnected, so underivable
+        return h
+
     def _solve(self, root: tuple) -> SearchStats:
-        """Explore the goals below the root and settle their minimal heights.
+        """Explore the goals below an open root (one `_settle_root` left
+        open) and settle their minimal heights.
 
         One-premise instances wait on their premise.  A split rule is a join
         of two sides (Knuth's generalisation of Dijkstra's algorithm): each
@@ -640,11 +742,7 @@ class Engine:
         settled = self._heights
         failing_rows, disconnected = self._failing_rows, self._disconnected
         visits = 1
-        maxw = self._goal_weight(root)
-        if root not in settled and (failing_rows(root) or disconnected(root)):
-            settled[root] = None  # classically invalid or disconnected, so underivable
-        if root in settled:
-            return SearchStats(visits, 1, maxw, self.mode)
+        maxw = 0  # the root is explored first
 
         heap: list[tuple[int, int, tuple]] = []
         tick = itertools.count()

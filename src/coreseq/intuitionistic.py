@@ -61,7 +61,9 @@ class IntProver:
         self._kind: list[str] = []
         self._left: list = []
         self._right: list = []
-        self._formula_ids: dict[Formula, int] = {}
+        # keyed by canonical text, the formula's identity, whose str hash
+        # is cached
+        self._formula_ids: dict[str, int] = {}
         self._memo: dict[tuple, bool] = {}
         self._bot = self._node(("bot", None, None))
 
@@ -76,7 +78,7 @@ class IntProver:
         return i
 
     def _translate(self, f: Formula) -> int:
-        i = self._formula_ids.get(f)
+        i = self._formula_ids.get(f.text)
         if i is not None:
             return i
         if isinstance(f, Atom):
@@ -89,7 +91,7 @@ class IntProver:
             i = self._node(("or", self._translate(f.left), self._translate(f.right)))
         else:
             i = self._node(("imp", self._translate(f.left), self._translate(f.right)))
-        self._formula_ids[f] = i
+        self._formula_ids[f.text] = i
         return i
 
     def decide(self, s: Sequent) -> bool:

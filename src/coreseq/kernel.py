@@ -291,14 +291,55 @@ class Derivation(FrozenSlots):
         return done[0]
 
     def __repr__(self):
-        return f"Derivation(conclusion={self.conclusion!r}, rule={self.rule!r}, premises={self.premises!r})"
+        # the text of the recursive dataclass-style repr, written out in
+        # preorder; a str on the stack is a closing or separating piece
+        parts: list[str] = []
+        stack: list = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                parts.append(node)
+                continue
+            parts.append(f"Derivation(conclusion={node.conclusion!r}, rule={node.rule!r}, premises=(")
+            premises = node.premises
+            stack.append(",))" if len(premises) == 1 else "))")
+            for i in range(len(premises) - 1, -1, -1):
+                stack.append(premises[i])
+                if i:
+                    stack.append(", ")
+        return "".join(parts)
 
     def __reduce__(self):
-        return Derivation, (self.conclusion, self.rule, self.premises)
+        # copy, deepcopy and pickle go through a flat postorder list of
+        # (conclusion, rule, premise positions), one entry per node object,
+        # so they work at any depth and keep shared subtrees shared
+        position: dict[int, int] = {}
+        nodes: list[tuple[Sequent, str, tuple[int, ...]]] = []
+        stack: list[tuple[Derivation, bool]] = [(self, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if id(node) in position:
+                continue
+            if not expanded:
+                stack.append((node, True))
+                stack += [(p, False) for p in reversed(node.premises)]
+                continue
+            position[id(node)] = len(nodes)
+            nodes.append((node.conclusion, node.rule, tuple(position[id(p)] for p in node.premises)))
+        return _derivation_from_postorder, (tuple(nodes),)
 
 
 _set_conclusion, _set_rule = Derivation.conclusion.__set__, Derivation.rule.__set__
 _set_premises = Derivation.premises.__set__
+
+
+def _derivation_from_postorder(nodes) -> Derivation:
+    """Rebuild a tree from `Derivation.__reduce__`'s postorder list, in which
+    every premise position points at an earlier entry."""
+    built: list[Derivation] = []
+    for conclusion, rule, premises in nodes:
+        built.append(Derivation(conclusion, rule, [built[i] for i in premises]))
+    return built[-1]
 
 
 def height(d: Derivation) -> int:

@@ -1,5 +1,7 @@
+import copy
 import inspect
 import itertools
+import pickle
 import random
 import tracemalloc
 import types
@@ -395,6 +397,111 @@ def test_memo_cap_ignores_earlier_queries():
         eng.min_height(goal)
     assert len(eng._heights) > 2 * 131
     assert eng.min_height(S("r, s |- s & r")) == 1
+
+
+# -- the root step --------------------------------------------------------------
+
+
+class _NoSearchEngine(Engine):
+    """An engine whose search raises once `searching` is off, so a query
+    that the root step does not settle fails."""
+
+    searching = True
+
+    def _solve(self, root):
+        if not self.searching:
+            raise AssertionError("the query entered _solve")
+        return super()._solve(root)
+
+
+@pytest.mark.parametrize("mode", ["tennant", "strict-table"])
+def test_root_step_answers_like_fresh_decide(mode):
+    # one shared engine, queried in shuffled order through all three entry
+    # points, gives the heights fresh engines give
+    expected = {}
+    for goal in _FAMILY6:
+        res = Engine(mode).decide(goal)
+        expected[goal] = res.min_height if res.is_provable else None
+    order = list(_FAMILY6)
+    random.Random(15).shuffle(order)
+    eng = Engine(mode)
+    for i, goal in enumerate(order):
+        if i % 3 == 0:
+            assert eng.min_height(goal) == expected[goal], print_sequent(goal)
+        elif i % 3 == 1:
+            assert eng.is_provable(goal) == (expected[goal] is not None), print_sequent(goal)
+        else:
+            res = eng.decide(goal)
+            assert (res.min_height if res.is_provable else None) == expected[goal], print_sequent(goal)
+
+
+@pytest.mark.parametrize("mode", ["tennant", "strict-table"])
+def test_settled_roots_never_enter_the_search(mode):
+    goals = sequent_family(formula_universe(["p", "q"], 4), 5)
+    # refuted by a filter, by the test's own truth tables and graph search
+    refuted = [g for g in goals if not classically_valid(g) or not atom_connected(g)]
+    assert 0 < len(refuted) < len(goals)
+    eng = _NoSearchEngine(mode)
+    eng.searching = False
+    for goal in refuted:
+        assert eng.min_height(goal) is None
+        assert not eng.is_provable(goal)
+        res = eng.decide(goal)
+        assert isinstance(res, Unprovable)
+        assert res.certificate == engine.SearchStats(1, 1, sequent_weight(goal), mode)
+    # memoized: every root is settled once the search has run over them
+    eng = _NoSearchEngine(mode)
+    heights = [eng.min_height(goal) for goal in goals]
+    eng.searching = False
+    assert [eng.min_height(goal) for goal in goals] == heights
+    assert [eng.is_provable(goal) for goal in goals] == [h is not None for h in heights]
+    assert [eng.decide(goal).is_provable for goal in goals] == [h is not None for h in heights]
+
+
+def test_root_step_runs_the_overridden_filters():
+    # the root step calls the filters through the engine, so an engine
+    # with a filter off searches the root that filter would settle:
+    # p |- q is classically invalid, ~A, A |- B disconnected
+    plain = _NoSearchEngine()
+    plain.searching = False
+    for eng_class, text in ((_UnprunedEngine, "p |- q"), (_ClassicalOnlyEngine, "~A, A |- B")):
+        assert plain.min_height(S(text)) is None
+        probe = type("Probe", (eng_class, _NoSearchEngine), {"searching": False})()
+        with pytest.raises(AssertionError, match="entered _solve"):
+            probe.min_height(S(text))
+        assert eng_class().min_height(S(text)) is None
+        assert eng_class().min_height(S("p -> q, p |- q")) == 1
+    assert not _ClassicalOnlyEngine().decide(S("~A, A |- B")).disconnected
+
+
+def test_result_objects_behave_as_values():
+    stats = engine.SearchStats(goals_expanded=3, distinct_goals=2, max_weight_seen=4, mode="tennant")
+    assert stats == engine.SearchStats(3, 2, 4, "tennant") != engine.SearchStats(3, 2, 4, "strict-table")
+    assert hash(stats) == hash((3, 2, 4, "tennant"))
+    assert repr(stats) == (
+        "SearchStats(goals_expanded=3, distinct_goals=2, max_weight_seen=4, mode='tennant')"
+    )
+    refuted = Unprovable(stats)
+    assert refuted.countervaluation is None and refuted.disconnected is False
+    assert not refuted.is_provable
+    assert refuted == Unprovable(certificate=stats, countervaluation=None, disconnected=False)
+    assert refuted != Unprovable(stats, disconnected=True)
+    assert repr(refuted) == f"Unprovable(certificate={stats!r}, countervaluation=None, disconnected=False)"
+    res = decide(S("p |- p"))
+    assert isinstance(res, Provable) and res.is_provable
+    same = Provable(derivation=res.derivation, min_height=0, stats=res.stats)
+    assert same == res and hash(same) == hash(res)
+    assert repr(res) == f"Provable(derivation={res.derivation!r}, min_height=0, stats={res.stats!r})"
+    assert (res == stats) is False and (stats == (3, 2, 4, "tennant")) is False
+    for obj in (stats, refuted, res):
+        assert not hasattr(obj, "__dict__")
+        for name in type(obj).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, getattr(obj, name))
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        for other in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert other == obj and hash(other) == hash(obj)
 
 
 # -- the classical and connectivity filters -----------------------------------

@@ -10,8 +10,10 @@ import pytest
 
 from conftest import brute_countermodel, random_formula
 from coreseq import (
+    And,
     Atom,
     Engine,
+    Imp,
     IntProver,
     KripkeModel,
     Neg,
@@ -96,6 +98,20 @@ def test_sequents_with_antecedents():
 
 
 # -- countermodels ------------------------------------------------------------
+
+
+def test_prover_interns_equal_formulas_once():
+    # two equal formulas built separately share one translation
+    built = Imp(Atom("p"), And(Atom("q"), Neg(Atom("p"))))
+    parsed = F("p -> q & ~p")
+    assert built is not parsed and built == parsed
+    prover = IntProver()
+    assert not prover.decide(Sequent((built,), Atom("q")))
+    ids, nodes = dict(prover._formula_ids), len(prover._kind)
+    assert prover.decide(Sequent((parsed, Atom("p")), Atom("q")))
+    assert prover._formula_ids == ids and len(prover._kind) == nodes
+    # p, q, ~p, q & ~p and the conditional
+    assert len(ids) == 5
 
 
 def test_countermodel_for_excluded_middle():

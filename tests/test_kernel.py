@@ -411,6 +411,29 @@ def test_deep_derivation_loads_checks_and_serializes():
     assert nodes == 2 * depth + 1
 
 
+def test_deep_derivations_print_copy_and_pickle_without_recursion():
+    def recursive_repr(d):
+        # the dataclass-style text the explicit stack must reproduce
+        premises = tuple(recursive_repr(p) for p in d.premises)
+        inner = "(" + premises[0] + ",)" if len(premises) == 1 else "(" + ", ".join(premises) + ")"
+        return f"Derivation(conclusion={d.conclusion!r}, rule={d.rule!r}, premises={inner})"
+
+    shallow = derivation_from_json(_limp_tower(50, {"rule": "RNeg", "conclusion": "|- ~p", "premises": [_AX]}))
+    assert repr(shallow) == recursive_repr(shallow)
+    depth = 10_000
+    d = derivation_from_json(_limp_tower(depth, _AX))
+    step = f"Derivation(conclusion={d.conclusion!r}, rule='LImp', premises=({d.premises[0]!r}, "
+    # compared as a bool: a failing == on two 2 MB strings would be diffed
+    same = repr(d) == step * depth + repr(d.premises[0]) + "))" * depth
+    assert same
+    for e in (copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert e is not d and e == d and height(e) == depth
+    # a subtree used twice stays one object
+    leaf = Derivation(S("p |- p"), "Ax")
+    twice = copy.deepcopy(Derivation(S("p -> p, p |- p"), "LImp", (leaf, leaf)))
+    assert twice.premises[0] is twice.premises[1] and twice.premises[0] is not leaf
+
+
 def test_deep_derivations_compare_and_hash_without_recursion():
     depth = 10_000
     a = derivation_from_json(_limp_tower(depth, _AX))
