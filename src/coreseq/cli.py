@@ -108,8 +108,7 @@ def _cmd_decide(args) -> int:
     goal = parse_sequent(args.sequent)
     if args.logic == "int":
         if args.emit_derivation:
-            _say("coreseq: --emit-derivation is only available for core logic")
-            return 2
+            raise ValueError("--emit-derivation is only available for core logic")
         ok = decide_int(goal)
         if args.json:
             sys.stdout.write(_dump({"status": "provable" if ok else "unprovable", "logic": "int"}))
@@ -382,8 +381,7 @@ def _cmd_repro(args) -> int:
 
 def _cmd_atlas(args) -> int:
     if args.atoms < 1 or args.atoms > len(_ATOM_SUPPLY):
-        _say(f"coreseq: --atoms must be between 1 and {len(_ATOM_SUPPLY)}")
-        return 2
+        raise ValueError(f"--atoms must be between 1 and {len(_ATOM_SUPPLY)}")
     if args.out:
         # an unwritable --out fails here, before any search: "a" leaves an
         # existing file as it is, and a file made only to try is removed
@@ -472,7 +470,7 @@ def main(argv=None) -> int:
         failure["status"] = "resource-limit"
     except (OSError, ValueError) as e:
         # unwritable outputs, a malformed CORESEQ_MEMO_CAP, a --top that is
-        # not a theorem
+        # not a theorem, an option this command cannot honour
         error = str(e)
     _say(f"coreseq: {error}")
     if getattr(args, "json", False):

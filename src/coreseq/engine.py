@@ -39,8 +39,10 @@ giving the conclusion 1 + max(h, best partner); a partner settled earlier
 in the same query is at most h, so the first one found is the best.  The
 cost is 2^n per side plus the pairs whose sides both settle, where
 listing the pairs would build and look up 3^n of them (times the combos).
-`_instances` expands the same groups into pairs, in the order the product
-recurrence gives, for derivation extraction and `backward_instances`.
+`_instances` streams the same groups as pairs, lazily, in the order of the
+3^n product recurrence.  Derivation extraction stops at the first instance
+whose settled premises realise the goal's height; `backward_instances`
+lists every instance once.
 
 Classical filter.  Each interned formula carries its classical truth
 table: an int with one bit per valuation of the engine's atoms, built from
@@ -398,53 +400,30 @@ def _superset_closure(bits: int, n: int) -> int:
     return bits
 
 
-def _product_pairs(family, live=None) -> list[tuple[tuple, tuple]]:
+def _product_pairs(family):
     """A split family's premise pairs, in product order.
 
     A family is (free, groups): `groups` lists (lefts, rights) groups, one
     per succedent combo, each side indexed by the bitmask of antecedent
     elements its premise keeps, and `free` is the mask of the principal's
-    bit for LOr and LImp, 0 for RAnd.  With need = full & ~free, a pair
-    (D, G) has D | G == need (the principal discharged) or D | G == full
-    (retained).  The discharged pairs come first, then the retained ones;
-    each part is ordered by its base-3 key, one digit per base element, the
-    first element most significant: 0 when both sides keep it, 1 when only
-    the left does, 2 when only the right does.  A discharged pair's free
-    element is kept by neither side and gets digit 0, which leaves the order
-    of the base without the principal.  Combos vary fastest.  With `live`,
-    only pairs whose two premises pass it are listed.
+    bit for LOr and LImp, 0 for RAnd.  The pairs (D, G) with D | G == a
+    base come from the 3^n product recurrence over the base's elements,
+    the first outermost: both sides keep the element, then only D, then
+    only G.  The base without the free bit (the principal discharged)
+    comes first, then every bit (retained); combos vary fastest.
     """
     free, groups = family
-    size = len(groups[0][0])
-    full = size - 1
-    need = full & ~free
-    n = full.bit_length()
-    digit = [0] * size  # the key of a mask's elements, each with digit 1
-    for m in range(1, size):
-        low = m & -m
-        digit[m] = digit[m ^ low] + 3 ** (n - low.bit_length())
-    found = []
-    for combo, (lefts, rights) in enumerate(groups):
-        ok_right = None if live is None else [live(p) for p in rights]
-        for d in range(size):
-            if live is not None and not live(lefts[d]):
-                continue
-            comp = need & ~d
-            spare = d | free
-            shared = spare
-            while True:
-                gm = comp | shared
-                if ok_right is None or ok_right[gm]:
-                    found.append(
-                        ((d | gm) & free, digit[d & ~gm] + 2 * digit[gm & ~d], combo, d, gm)
-                    )
-                if not shared:
-                    break
-                shared = (shared - 1) & spare
-    found.sort()
-    return [
-        (groups[combo][0][d], groups[combo][1][gm]) for _retained, _key, combo, d, gm in found
-    ]
+    full = len(groups[0][0]) - 1
+    for base in (full & ~free, full) if free else (full,):
+        masks = [(0, 0)]
+        rest = base
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            masks = [m for d, g in masks for m in ((d | b, g | b), (d | b, g), (d, g | b))]
+        for d, g in masks:
+            for lefts, rights in groups:
+                yield lefts[d], rights[g]
 
 
 class Engine:
@@ -688,30 +667,19 @@ class Engine:
                     blocks[_LIMP].append((free, ((minor, major),)))
         return blocks
 
-    def _instances(self, g: tuple, live=None) -> list[tuple[int, tuple[tuple, ...]]]:
-        """Every rule instance concluding this goal, grouped in rule order.
+    def _instances(self, g: tuple):
+        """Every rule instance concluding this goal, lazily, in rule order.
 
         Within a rule, instances follow the canonical generation order:
         principals in antecedent order, discharged premise variants before
-        retaining ones, split pairs in product order (see `_product_pairs`);
-        a repeated instance keeps its first place.  With `live`, only the
-        instances whose premises all pass it are listed, in the same order.
+        retaining ones, split pairs in product order (see `_product_pairs`).
+        An instance may repeat.
         """
-        seen = set()
-        out = []
         for rule, block in enumerate(self._blocks(g)):
             if rule in _SPLIT_RULES:
-                cands = [p for family in block for p in _product_pairs(family, live)]
-            elif live is None:
-                cands = block
-            else:
-                cands = [p for p in block if all(map(live, p))]
-            for prems in cands:
-                inst = (rule, prems)
-                if inst not in seen:
-                    seen.add(inst)
-                    out.append(inst)
-        return out
+                block = (p for family in block for p in _product_pairs(family))
+            for prems in block:
+                yield rule, prems
 
     # -- solving --
 
@@ -929,9 +897,10 @@ class Engine:
     def _extract(self, g: tuple) -> Derivation:
         settled = self._heights
         h = settled[g]
-        for rule, prems in self._instances(g, lambda p: settled.get(p) is not None):
-            cand = 1 + max(settled[p] for p in prems) if prems else 0
-            if cand == h:
+        # the first instance whose settled premises realise h
+        for rule, prems in self._instances(g):
+            heights = [settled.get(p) for p in prems]
+            if None not in heights and (1 + max(heights) if heights else 0) == h:
                 return Derivation(
                     self._goal_sequent(g),
                     RULE_NAMES[rule],
@@ -943,12 +912,13 @@ class Engine:
 
 
 def backward_instances(goal: Sequent, mode: str = MODES[0]) -> list[tuple[str, tuple[Sequent, ...]]]:
-    """Every rule instance concluding `goal`, as (rule, premises) pairs."""
+    """Every rule instance concluding `goal`, as (rule, premises) pairs,
+    each once, in the engine's generation order."""
     eng = Engine(mode)
     g = eng._intern_goal(goal)
     return [
         (RULE_NAMES[rule], tuple(eng._goal_sequent(p) for p in prems))
-        for rule, prems in eng._instances(g)
+        for rule, prems in dict.fromkeys(eng._instances(g))
     ]
 
 

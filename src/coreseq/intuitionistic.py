@@ -551,7 +551,7 @@ def cross_check(
 
     Core-provable must imply intuitionistically provable (any violation is
     a hard failure for the caller to enforce); the divergence list holds
-    the intuitionistially provable sequents Core rejects.  Empty-antecedent
+    the intuitionistically provable sequents Core rejects.  Empty-antecedent
     sequents are additionally held to exact agreement.
     """
     eng = engine or Engine()

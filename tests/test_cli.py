@@ -362,8 +362,14 @@ def test_failed_atlas_writes_nothing(capsys, monkeypatch, tmp_path):
         (["repro", "--out", "{tmp}/file/sub"], None, "Not a directory"),
         (["decide", "p |- p"], "abc", "invalid CORESEQ_MEMO_CAP 'abc'"),
         (["repro", "--top", "p", "--out", "{tmp}/r"], None, "p is not a theorem"),
+        (["decide", "p |- p", "--logic", "int", "--emit-derivation", "{tmp}/x.json"], None,
+         "--emit-derivation is only available for core logic"),
+        (["atlas", "--atoms", "9", "--weight-cap", "2"], None, "--atoms must be between 1 and 8"),
     ],
-    ids=["decide-emit-derivation", "atlas-out", "repro-out", "memo-cap", "repro-top"],
+    ids=[
+        "decide-emit-derivation", "atlas-out", "repro-out", "memo-cap", "repro-top",
+        "int-emit-derivation", "atlas-atoms",
+    ],
 )
 def test_errors_outside_the_query_exit_2(capsys, monkeypatch, tmp_path, argv, env, message):
     (tmp_path / "file").write_text("")
@@ -383,6 +389,11 @@ def test_failed_write_prints_only_the_error_object(capsys, monkeypatch, tmp_path
     assert code == 2
     blob = json.loads(out)
     assert blob["status"] == "error" and str(target) in blob["error"]
+    code, out, _ = run(capsys, "decide", "p |- p", "--logic", "int", "--json", "--emit-derivation", str(target))
+    assert code == 2
+    assert json.loads(out) == {
+        "status": "error", "error": "--emit-derivation is only available for core logic",
+    }
     monkeypatch.setenv("CORESEQ_MEMO_CAP", "abc")
     code, out, _ = run(capsys, "decide", "p |- p", "--json")
     assert code == 2

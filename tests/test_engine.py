@@ -223,29 +223,25 @@ def test_split_instances_follow_the_reference_order(mode):
 
 
 @pytest.mark.parametrize("mode", ["tennant", "strict-table"])
-def test_filtered_instances_keep_order(mode):
-    rng = random.Random(4)
-    drawn = {}
-
-    def coin(p):
-        if p not in drawn:
-            drawn[p] = rng.random() < 0.7
-        return drawn[p]
-
+def test_extraction_takes_the_first_realising_instance(mode):
+    # a derivation's last step is the first listed instance whose premises
+    # are all derivable and realise the goal's minimal height
+    eng = Engine(mode)
+    provable = 0
     for goal in _FAMILY5:
-        eng = Engine(mode)
-        g = eng._intern_goal(goal)
-        everything = eng._instances(g)
-        valid = {}
-
-        def is_valid(p):
-            if p not in valid:
-                valid[p] = classically_valid(eng._goal_sequent(p))
-            return valid[p]
-
-        for live in (is_valid, coin):
-            expected = [i for i in everything if all(live(p) for p in i[1])]
-            assert eng._instances(g, live) == expected, print_sequent(goal)
+        res = eng.decide(goal)
+        if not res.is_provable:
+            continue
+        provable += 1
+        for rule, prems in backward_instances(goal, mode):
+            heights = [eng.min_height(p) for p in prems]
+            if None not in heights and (1 + max(heights) if heights else 0) == res.min_height:
+                break
+        else:
+            raise AssertionError(f"no instance realises {print_sequent(goal)}")
+        d = res.derivation
+        assert (d.rule, tuple(p.conclusion for p in d.premises)) == (rule, prems), print_sequent(goal)
+    assert provable == {"tennant": 140, "strict-table": 126}[mode]
 
 
 @pytest.mark.parametrize(
