@@ -148,10 +148,7 @@ def _cmd_check(args) -> int:
     try:
         d = load_derivation(args.path)
     except (OSError, ValueError) as e:
-        _say(f"coreseq: cannot load derivation: {e}")
-        if args.json:
-            sys.stdout.write(_dump({"status": "error", "error": str(e)}))
-        return 2
+        raise ValueError(f"cannot load derivation: {e}") from e
     v = check_derivation(d, args.mode)
     if v is None:
         if args.json:
@@ -205,164 +202,160 @@ def _cmd_repro(args) -> int:
     def fresh() -> Engine:
         return Engine(mode, memo_cap=cap)
 
-    try:
-        # every bundled tree is checker-valid except the extended d1
-        for name in FIXTURE_NAMES:
-            v = check_derivation(fixtures[name], mode)
-            if v is not None and name != "d1-full-with-ltop":
-                raise _InternalDisagreement(f"bundled {name} fixture rejected: {v.message}")
+    # every bundled tree is checker-valid except the extended d1
+    for name in FIXTURE_NAMES:
+        v = check_derivation(fixtures[name], mode)
+        if v is not None and name != "d1-full-with-ltop":
+            raise _InternalDisagreement(f"bundled {name} fixture rejected: {v.message}")
 
-        # eq1: the first Lewis paradox is underivable in both modes
-        eq1 = parse_sequent("~A, A |- B")
-        eq1_status = {}
-        for m in MODES:
-            res = Engine(m, memo_cap=cap).decide(eq1)
-            _recheck(res, eq1, m)
-            eq1_status[m] = _decision_json(res)
+    # eq1: the first Lewis paradox is underivable in both modes
+    eq1 = parse_sequent("~A, A |- B")
+    eq1_status = {}
+    for m in MODES:
+        res = Engine(m, memo_cap=cap).decide(eq1)
+        _recheck(res, eq1, m)
+        eq1_status[m] = _decision_json(res)
+    items.append({
+        "id": "eq1",
+        "query": print_sequent(eq1),
+        "status": "unprovable" if all(v["status"] == "unprovable" for v in eq1_status.values()) else "provable",
+        "by_mode": eq1_status,
+    })
+
+    # eq2: the conditional form is derivable, matching the bundled tree
+    eq2 = parse_sequent("|- ~A -> (A -> B)")
+    res2 = fresh().decide(eq2)
+    _recheck(res2, eq2, mode)
+    if isinstance(res2, Provable):
+        evidence["eq2-derivation.json"] = derivation_to_json(res2.derivation)
+    items.append({
+        "id": "eq2",
+        "query": print_sequent(eq2),
+        "status": "provable" if isinstance(res2, Provable) else "unprovable",
+        "min_height": res2.min_height if isinstance(res2, Provable) else None,
+        "matches_d1_upper": isinstance(res2, Provable) and res2.derivation == fixtures["d1-upper"],
+        "evidence": "eq2-derivation.json",
+    })
+
+    # eq3: the d1 tree extended by a final step outside the rule table
+    bad = fixtures["d1-full-with-ltop"]
+    v = check_derivation(bad, mode)
+    items.append({
+        "id": "eq3-d1",
+        "status": "invalid" if v is not None else "valid",
+        "clause": v.clause if v else None,
+        "message": v.message if v else None,
+        "path": list(v.path) if v else None,
+        "root_rule": bad.rule,
+        "unjustified_leaf": print_sequent(bad.premises[1].conclusion),
+        "leaf_note": "underivability claims have no judgment form in the calculus; "
+        "the leaf stands in for one and carries no valid justification",
+    })
+
+    # eq4: the same end-sequent via the seven-node tree
+    d2 = fixtures["d2"]
+    eq4 = d2.conclusion
+    res4 = fresh().decide(eq4)
+    _recheck(res4, eq4, mode)
+    if not isinstance(res4, Provable):
+        raise _InternalDisagreement("d2 checks as valid but its conclusion is reported unprovable")
+    evidence["eq4-derivation.json"] = derivation_to_json(res4.derivation)
+    items.append({
+        "id": "eq4-d2",
+        "query": print_sequent(eq4),
+        "status": "valid+provable",
+        "fixture_height": height(d2),
+        "min_height": res4.min_height,
+        "evidence": "eq4-derivation.json",
+    })
+
+    # absurdity form of eq1's antecedent
+    pair = parse_sequent("~A, A |-")
+    resp = fresh().decide(pair)
+    _recheck(resp, pair, mode)
+    items.append({
+        "id": "eq1-absurd",
+        "query": print_sequent(pair),
+        "status": "provable" if isinstance(resp, Provable) else "unprovable",
+        "min_height": resp.min_height if isinstance(resp, Provable) else None,
+    })
+
+    shared = fresh()
+
+    # the two-line equivalence fixtures plus the three-query study
+    study = top_equivalence_study(Atom("q"), top, engine=shared).to_json()
+    evidence["lemma1-study.json"] = study
+    items.append({
+        "id": "lemma1",
+        "status": "valid",
+        "fixtures": ["lemma1-right", "lemma1-left"],
+        "study": study,
+        "evidence": "lemma1-study.json",
+    })
+
+    for name in ("contradiction1", "contradiction2"):
         items.append({
-            "id": "eq1",
-            "query": print_sequent(eq1),
-            "status": "unprovable" if all(v["status"] == "unprovable" for v in eq1_status.values()) else "provable",
-            "by_mode": eq1_status,
-        })
-
-        # eq2: the conditional form is derivable, matching the bundled tree
-        eq2 = parse_sequent("|- ~A -> (A -> B)")
-        res2 = fresh().decide(eq2)
-        _recheck(res2, eq2, mode)
-        if isinstance(res2, Provable):
-            evidence["eq2-derivation.json"] = derivation_to_json(res2.derivation)
-        items.append({
-            "id": "eq2",
-            "query": print_sequent(eq2),
-            "status": "provable" if isinstance(res2, Provable) else "unprovable",
-            "min_height": res2.min_height if isinstance(res2, Provable) else None,
-            "matches_d1_upper": isinstance(res2, Provable) and res2.derivation == fixtures["d1-upper"],
-            "evidence": "eq2-derivation.json",
-        })
-
-        # eq3: the d1 tree extended by a final step outside the rule table
-        bad = fixtures["d1-full-with-ltop"]
-        v = check_derivation(bad, mode)
-        items.append({
-            "id": "eq3-d1",
-            "status": "invalid" if v is not None else "valid",
-            "clause": v.clause if v else None,
-            "message": v.message if v else None,
-            "path": list(v.path) if v else None,
-            "root_rule": bad.rule,
-            "unjustified_leaf": print_sequent(bad.premises[1].conclusion),
-            "leaf_note": "underivability claims have no judgment form in the calculus; "
-            "the leaf stands in for one and carries no valid justification",
-        })
-
-        # eq4: the same end-sequent via the seven-node tree
-        d2 = fixtures["d2"]
-        eq4 = d2.conclusion
-        res4 = fresh().decide(eq4)
-        _recheck(res4, eq4, mode)
-        if not isinstance(res4, Provable):
-            raise _InternalDisagreement("d2 checks as valid but its conclusion is reported unprovable")
-        evidence["eq4-derivation.json"] = derivation_to_json(res4.derivation)
-        items.append({
-            "id": "eq4-d2",
-            "query": print_sequent(eq4),
-            "status": "valid+provable",
-            "fixture_height": height(d2),
-            "min_height": res4.min_height,
-            "evidence": "eq4-derivation.json",
-        })
-
-        # absurdity form of eq1's antecedent
-        pair = parse_sequent("~A, A |-")
-        resp = fresh().decide(pair)
-        _recheck(resp, pair, mode)
-        items.append({
-            "id": "eq1-absurd",
-            "query": print_sequent(pair),
-            "status": "provable" if isinstance(resp, Provable) else "unprovable",
-            "min_height": resp.min_height if isinstance(resp, Provable) else None,
-        })
-
-        shared = fresh()
-
-        # the two-line equivalence fixtures plus the three-query study
-        study = top_equivalence_study(Atom("q"), top, engine=shared).to_json()
-        evidence["lemma1-study.json"] = study
-        items.append({
-            "id": "lemma1",
+            "id": name,
             "status": "valid",
-            "fixtures": ["lemma1-right", "lemma1-left"],
-            "study": study,
-            "evidence": "lemma1-study.json",
+            "conclusion": print_sequent(fixtures[name].conclusion),
+            "height": height(fixtures[name]),
         })
 
-        for name in ("contradiction1", "contradiction2"):
-            items.append({
-                "id": name,
-                "status": "valid",
-                "conclusion": print_sequent(fixtures[name].conclusion),
-                "height": height(fixtures[name]),
-            })
+    # prefixing a theorem on the left, tested over a bounded family
+    ltop_universe = formula_universe(("p", "q"), 5)
+    verdict = test_admissibility(l_top_transform(top), ltop_universe, 5, engine=shared)
+    evidence["ltop-verdict.json"] = verdict.to_json()
+    items.append({
+        "id": "ltop-verdict",
+        "status": verdict.status,
+        "first_witness": verdict.witnesses[0].to_json() if verdict.witnesses else None,
+        "evidence": "ltop-verdict.json",
+    })
+    for w in verdict.witnesses:
+        again = shared.min_height(w.transformed)
+        if (again is not None) != w.transformed_provable:
+            raise _InternalDisagreement("admissibility witness does not re-verify")
 
-        # prefixing a theorem on the left, tested over a bounded family
-        ltop_universe = formula_universe(("p", "q"), 5)
-        verdict = test_admissibility(l_top_transform(top), ltop_universe, 5, engine=shared)
-        evidence["ltop-verdict.json"] = verdict.to_json()
-        items.append({
-            "id": "ltop-verdict",
-            "status": verdict.status,
-            "first_witness": verdict.witnesses[0].to_json() if verdict.witnesses else None,
-            "evidence": "ltop-verdict.json",
-        })
-        for w in verdict.witnesses:
-            again = shared.min_height(w.transformed)
-            if (again is not None) != w.transformed_provable:
-                raise _InternalDisagreement("admissibility witness does not re-verify")
+    # left weakening: the schema rejection plus the bounded-family verdict
+    wk_conclusion = parse_sequent("B, ~A, A |-")
+    wk_premise = parse_sequent("~A, A |-")
+    rejections = {}
+    for rule in RULE_NAMES:
+        rv = check_rule(wk_conclusion, rule, [wk_premise], mode)
+        if rv is None:
+            raise _InternalDisagreement(f"weakening step unexpectedly valid as {rule}")
+        rejections[rule] = rv.clause
+    res_wk = shared.decide(wk_conclusion)
+    _recheck(res_wk, wk_conclusion, mode)
+    wk_verdict = test_admissibility(
+        weakening_transform(Atom("q")), formula_universe(("p", "q"), 2), 4, engine=shared
+    )
+    evidence["weakening-verdict.json"] = wk_verdict.to_json()
+    items.append({
+        "id": "weakening",
+        "status": wk_verdict.status,
+        "step_conclusion": print_sequent(wk_conclusion),
+        "step_premise": print_sequent(wk_premise),
+        "step_rejected_as": rejections,
+        "weakened_pair_status": "provable" if isinstance(res_wk, Provable) else "unprovable",
+        "evidence": "weakening-verdict.json",
+    })
 
-        # left weakening: the schema rejection plus the bounded-family verdict
-        wk_conclusion = parse_sequent("B, ~A, A |-")
-        wk_premise = parse_sequent("~A, A |-")
-        rejections = {}
-        for rule in RULE_NAMES:
-            rv = check_rule(wk_conclusion, rule, [wk_premise], mode)
-            if rv is None:
-                raise _InternalDisagreement(f"weakening step unexpectedly valid as {rule}")
-            rejections[rule] = rv.clause
-        res_wk = shared.decide(wk_conclusion)
-        _recheck(res_wk, wk_conclusion, mode)
-        wk_verdict = test_admissibility(
-            weakening_transform(Atom("q")), formula_universe(("p", "q"), 2), 4, engine=shared
+    # oracle cross-check over the standard small family
+    universe = [parse_formula(t) for t in ("p", "q", "~p", "~q", "p & q", "p | q", "p -> q", "q -> p", "p -> p")]
+    cc = cross_check(universe, 6, engine=shared)
+    if cc.violations:
+        raise _InternalDisagreement(
+            f"{len(cc.violations)} Core-provable sequents are intuitionistically unprovable"
         )
-        evidence["weakening-verdict.json"] = wk_verdict.to_json()
-        items.append({
-            "id": "weakening",
-            "status": wk_verdict.status,
-            "step_conclusion": print_sequent(wk_conclusion),
-            "step_premise": print_sequent(wk_premise),
-            "step_rejected_as": rejections,
-            "weakened_pair_status": "provable" if isinstance(res_wk, Provable) else "unprovable",
-            "evidence": "weakening-verdict.json",
-        })
-
-        # oracle cross-check over the standard small family
-        universe = [parse_formula(t) for t in ("p", "q", "~p", "~q", "p & q", "p | q", "p -> q", "q -> p", "p -> p")]
-        cc = cross_check(universe, 6, engine=shared)
-        if cc.violations:
-            raise _InternalDisagreement(
-                f"{len(cc.violations)} Core-provable sequents are intuitionistically unprovable"
-            )
-        evidence["crosscheck.json"] = cc.to_json()
-        items.append({
-            "id": "crosscheck",
-            "status": "ok",
-            "total": cc.total,
-            "divergences": len(cc.divergences),
-            "evidence": "crosscheck.json",
-        })
-    except _InternalDisagreement as e:
-        _say(f"coreseq: internal disagreement: {e}")
-        return 3
+    evidence["crosscheck.json"] = cc.to_json()
+    items.append({
+        "id": "crosscheck",
+        "status": "ok",
+        "total": cc.total,
+        "divergences": len(cc.divergences),
+        "evidence": "crosscheck.json",
+    })
 
     text = _dump({"version": __version__, "mode": mode, "top": args.top, "items": items})
     out = Path(args.out)
@@ -456,8 +449,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; every failure leaves here, as exit 2 (3 for a
+    `repro` disagreement) with one `coreseq: ...` line on stderr and, under
+    --json, the error object on stdout."""
     args = build_parser().parse_args(argv)
     failure: dict = {"status": "error"}
+    code = 2
     try:
         return args.func(args)
     except RecursionError:
@@ -468,14 +465,21 @@ def main(argv=None) -> int:
     except ResourceLimitError as e:
         error = f"resource limit: {e}"
         failure["status"] = "resource-limit"
+    except MemoryError:
+        error = "resource limit: out of memory"
+        failure["status"] = "resource-limit"
+    except _InternalDisagreement as e:
+        error = f"internal disagreement: {e}"
+        code = 3
     except (OSError, ValueError) as e:
-        # unwritable outputs, a malformed CORESEQ_MEMO_CAP, a --top that is
-        # not a theorem, an option this command cannot honour
+        # unwritable outputs, an unloadable derivation, a malformed
+        # CORESEQ_MEMO_CAP, a --top that is not a theorem, an option this
+        # command cannot honour
         error = str(e)
     _say(f"coreseq: {error}")
     if getattr(args, "json", False):
         sys.stdout.write(_dump({**failure, "error": error}))
-    return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -32,13 +32,18 @@ explored only when the other side has a live partner covering need & ~m
 (a superset-closure table over the live masks says so), which is exactly
 the set of goals the listed pairs would reach.  Settlement is
 a join, after Knuth's generalisation of Dijkstra's algorithm (D. E. Knuth,
-"A generalization of Dijkstra's algorithm", IPL 6(1), 1977): the group
-keeps the heights of its settled masks, and when a side settles at height
-h it is paired with the settled partners covering the rest of need,
-giving the conclusion 1 + max(h, best partner); a partner settled earlier
-in the same query is at most h, so the first one found is the best.  The
-cost is 2^n per side plus the pairs whose sides both settle, where
-listing the pairs would build and look up 3^n of them (times the combos).
+"A generalization of Dijkstra's algorithm", IPL 6(1), 1977), with one
+rule: whenever a side mask's height h becomes known, it is recorded and
+paired with the other side's settled masks covering the rest of need,
+and the conclusion is queued at 1 + max(h, best partner).  A height
+becomes known either at registration, for a premise settled before the
+query, or when the premise settles during it.  Registration records the
+left side first, so a pair settled on both sides before the query is
+joined once, when its right side is recorded.  A partner of height at
+most h gives the best pair at once; any partner settled earlier in the
+same query is one.  The cost is 2^n per side plus the pairs whose sides
+both settle, where listing the pairs would build and look up 3^n of them
+(times the combos).
 `_instances` streams the same groups as pairs, lazily, in the order of the
 3^n product recurrence.  Derivation extraction stops at the first instance
 whose settled premises realise the goal's height; `backward_instances`
@@ -63,7 +68,8 @@ Core being contained in classical logic, never on an intuitionistic fact,
 so the comparisons against the intuitionistic oracle stay non-circular.
 Above TABLE_ATOM_CEILING atoms the tables would be too wide to pay off and
 the filter is switched off; verdicts, minimal heights and derivations are
-the same either way, because a pruned goal was never derivable.
+the same either way, because a pruned goal was never derivable, and a
+countervaluation comes from a table over the goal alone.
 
 Connectivity filter.  Core logic is relevant: link two formulas of the
 antecedent and the succedent (the antecedent alone under the absurdity
@@ -107,7 +113,6 @@ with the search.
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Iterable, Optional, Union
 
 from .kernel import MODES, RULE_NAMES, Derivation
@@ -256,7 +261,9 @@ class Unprovable(_Record):
     # countervaluation: (atom name, truth value) pairs sorted by name, set
     # when the goal is classically invalid: the valuation satisfies the
     # antecedent and falsifies the succedent (or, for the absurdity
-    # marker, just satisfies the antecedent).
+    # marker, just satisfies the antecedent).  It is the first such
+    # valuation in product order (False before True, the first name most
+    # significant), whatever the engine answered before.
     # disconnected: set when the goal is classically valid (or past the
     # table ceiling) but its formulas split into groups sharing no atom,
     # so the connectivity filter settled it unexplored.
@@ -431,8 +438,9 @@ class Engine:
 
     Verdicts and minimal heights persist across queries; they are pure
     facts about sequents, so sharing the table never changes results.
-    `memo_cap` bounds the goals one query explores, not the table, so it
-    does not depend on earlier queries either.
+    `memo_cap` bounds the premise lookups one query makes (`goals_expanded`,
+    and so the goals it explores), not the table, so it does not depend on
+    earlier queries either.
     Not thread-safe: one instance serves one thread, and its caller owns it.
     """
 
@@ -547,22 +555,33 @@ class Engine:
         return False
 
     def _countervaluation(self, g: tuple) -> Optional[tuple[tuple[str, bool], ...]]:
-        """The goal's atoms valued by its lowest failing row, if it has one."""
+        """The goal's first falsifying valuation in product order (see
+        `Unprovable`), if it has one: each atom in turn, sorted by name,
+        keeps the failing rows that make it False when there are any.  An
+        engine whose tables are off asks a fresh one over the goal alone."""
+        t = self._t
+        if not t.full:
+            fresh = Engine(self.mode)
+            fg = fresh._intern_goal(self._goal_sequent(g))
+            # asked only with its tables on, so it never comes back here
+            return fresh._countervaluation(fg) if fresh._t.full else None
         rows = self._failing_rows(g)
         if not rows:
             return None
-        v = (rows & -rows).bit_length() - 1
-        t = self._t
-        bits = t.atom_bits
+        truth, bits = t.truth, t.atom_bits
         ants, succ = g
         mentioned = 0 if succ == _ABSURD else bits[succ]
         for a in ants:
             mentioned |= bits[a]
-        return tuple(sorted(
-            (t.obj[i].name, bool(v >> k & 1))
-            for k, i in enumerate(t.atoms)
-            if mentioned >> k & 1
-        ))
+        valuation = []
+        for name, i in sorted(
+            (t.obj[i].name, i) for k, i in enumerate(t.atoms) if mentioned >> k & 1
+        ):
+            false_rows = rows & ~truth[i]
+            if false_rows:
+                rows = false_rows
+            valuation.append((name, not false_rows))
+        return tuple(valuation)
 
     def _insert(self, ants: tuple[int, ...], x: int) -> tuple[int, ...]:
         if x in ants:
@@ -626,17 +645,6 @@ class Engine:
 
         left_absurd_ok = succ != _ABSURD or self.mode == "tennant"
 
-        def lor_groups(la: list, rb: list) -> tuple:
-            if succ == _ABSURD:
-                return (([(x, _ABSURD) for x in la], [(y, _ABSURD) for y in rb]),)
-            ls = [(x, succ) for x in la]
-            rs = [(y, succ) for y in rb]
-            return (
-                (ls, rs),
-                (ls, [(y, _ABSURD) for y in rb]),
-                ([(x, _ABSURD) for x in la], rs),
-            )
-
         for pos, f in enumerate(ants):
             k = kind[f]
             if k == _KAND and left_absurd_ok:
@@ -660,7 +668,15 @@ class Engine:
                 if k == _KOR:
                     la = [insert(d, a) for d in subs]
                     rb = [insert(d, b) for d in subs]
-                    blocks[_LOR].append((free, lor_groups(la, rb)))
+                    la_absurd = [(x, _ABSURD) for x in la]
+                    rb_absurd = [(y, _ABSURD) for y in rb]
+                    if succ == _ABSURD:
+                        groups = ((la_absurd, rb_absurd),)
+                    else:
+                        ls = [(x, succ) for x in la]
+                        rs = [(y, succ) for y in rb]
+                        groups = ((ls, rs), (ls, rb_absurd), (la_absurd, rs))
+                    blocks[_LOR].append((free, groups))
                 else:
                     minor = [(d, a) for d in subs]
                     major = [(insert(d, b), succ) for d in subs]
@@ -702,18 +718,16 @@ class Engine:
         open) and settle their minimal heights.
 
         One-premise instances wait on their premise.  A split rule is a join
-        of two sides (Knuth's generalisation of Dijkstra's algorithm): each
-        split group keeps the heights of its settled side premises, and a
-        side settling at height h is joined with the settled partners that
-        cover the rest of the group's need mask, never with a listed pair.
+        of two sides (see the module docstring): `settle_side` is the one
+        place a side premise's height enters its group, whether the premise
+        was settled before this query or settles during it.
         """
         settled = self._heights
         failing_rows, disconnected = self._failing_rows, self._disconnected
         visits = 1
         maxw = 0  # the root is explored first
 
-        heap: list[tuple[int, int, tuple]] = []
-        tick = itertools.count()
+        heap: list[tuple[int, tuple]] = []
         nodes: set[tuple] = {root}
         touched_settled: set[tuple] = set()
         # premise -> conclusions of the one-premise instances waiting on it
@@ -746,6 +760,26 @@ class Engine:
             if p not in nodes:
                 nodes.add(p)
                 stack.append(p)
+
+        def settle_side(grp: list, side: int, m: int, h: int) -> None:
+            """Side mask m of a group is known at height h: join it with the
+            other side's settled masks covering the rest of need and queue
+            the conclusion at 1 + max(h, best partner)."""
+            grp[2 + side][m] = h
+            grp[4 + side].append(m)
+            other_heights = grp[3 - side]
+            comp = grp[1] & ~m
+            best = None
+            for x in grp[5 - side]:
+                if x & comp == comp:
+                    hx = other_heights[x]
+                    if hx <= h:
+                        best = h
+                        break
+                    if best is None or hx < best:
+                        best = hx
+            if best is not None:
+                heapq.heappush(heap, (1 + best, grp[0]))
 
         def open_group(g: tuple, free: int, lefts: list, rights: list) -> int:
             """Register one split group of goal g; returns the lookups made.
@@ -794,35 +828,20 @@ class Engine:
                 else _superset_closure(ok_right, full.bit_length())
             )
             # a side's height list keeps only its settled masks; an open
-            # or unpaired one is None
-            grp = [g, need, left_h, right_h, [], []]
+            # or unpaired one is None until settle_side records it
+            grp = [g, need, [None] * size, [None] * size, [], []]
             for side, prems, heights, cover in (
                 (0, lefts, left_h, cover_right),
                 (1, rights, right_h, cover_left),
             ):
-                done = grp[4 + side]
                 for m in range(size):
                     ph = heights[m]
-                    if ph is None:
+                    if ph is None or not cover >> (need & ~m) & 1:
                         continue
-                    if not cover >> (need & ~m) & 1:
-                        heights[m] = None
-                    elif ph == _OPEN:
-                        heights[m] = None
+                    if ph == _OPEN:
                         wait(prems[m], (grp, side, m), joined)
                     else:
-                        done.append(m)
-            # pairs settled on both sides before this query
-            best = None
-            for d in grp[4]:
-                comp = need & ~d
-                for gm in grp[5]:
-                    if gm & comp == comp:
-                        cand = max(left_h[d], right_h[gm])
-                        if best is None or cand < best:
-                            best = cand
-            if best is not None:
-                heapq.heappush(heap, (1 + best, next(tick), g))
+                        settle_side(grp, side, m, ph)
             return lookups
 
         while stack:
@@ -834,7 +853,7 @@ class Engine:
             for rule in _ONE_PREMISE_RULES:
                 for prems in blocks[rule]:
                     if not prems:
-                        heapq.heappush(heap, (0, next(tick), g))
+                        heapq.heappush(heap, (0, g))
                         continue
                     visits += 1
                     ph = look(prems[0])
@@ -843,47 +862,29 @@ class Engine:
                     if ph == _OPEN:
                         wait(prems[0], g, waiting)
                     else:
-                        heapq.heappush(heap, (1 + ph, next(tick), g))
+                        heapq.heappush(heap, (1 + ph, g))
             for rule in _SPLIT_RULES:
                 for free, groups in blocks[rule]:
                     for lefts, rights in groups:
                         visits += open_group(g, free, lefts, rights)
-            if len(nodes) > self.memo_cap:
+            # every explored goal is looked up, so this bounds them too
+            if visits > self.memo_cap:
                 raise ResourceLimitError(
-                    f"one query explored more than the cap of {self.memo_cap} goals"
+                    f"one query made more than the cap of {self.memo_cap} premise lookups"
                 )
 
         # Settle provable goals in order of minimal height.
         while heap:
-            h, _, g = heapq.heappop(heap)
+            h, g = heapq.heappop(heap)
             if g in settled:
                 continue
             settled[g] = h
             for c in waiting.get(g, ()):
                 if c not in settled:
-                    heapq.heappush(heap, (1 + h, next(tick), c))
+                    heapq.heappush(heap, (1 + h, c))
             for grp, side, m in joined.get(g, ()):
-                c = grp[0]
-                if c in settled:
-                    continue
-                grp[2 + side][m] = h
-                grp[4 + side].append(m)
-                # join with the other side's settled masks covering the
-                # rest of need; one settled during this query has
-                # height <= h, so it gives the best pair at once
-                other_heights = grp[3 - side]
-                comp = grp[1] & ~m
-                best = None
-                for x in grp[5 - side]:
-                    if x & comp == comp:
-                        hx = other_heights[x]
-                        if hx <= h:
-                            best = h
-                            break
-                        if best is None or hx < best:
-                            best = hx
-                if best is not None:
-                    heapq.heappush(heap, (1 + best, next(tick), c))
+                if grp[0] not in settled:
+                    settle_side(grp, side, m, h)
 
         # Everything explored but never settled is underivable: the whole
         # finite space below it has been exhausted.
@@ -891,7 +892,9 @@ class Engine:
             if g not in settled:
                 settled[g] = None
 
-        distinct = len(nodes) + len(touched_settled - nodes)
+        # disjoint: a touched goal is settled, so it never waits, and a node
+        # is settled only after exploration
+        distinct = len(nodes) + len(touched_settled)
         return SearchStats(visits, distinct, maxw, self.mode)
 
     def _extract(self, g: tuple) -> Derivation:

@@ -7,7 +7,16 @@ import time
 
 import pytest
 
-from coreseq import Engine, cross_check, fixture_path, formula_universe, load_derivation, parse_sequent, print_sequent
+from coreseq import (
+    Engine,
+    Provable,
+    cross_check,
+    fixture_path,
+    formula_universe,
+    load_derivation,
+    parse_sequent,
+    print_sequent,
+)
 from coreseq import cli
 from coreseq.cli import main
 
@@ -142,6 +151,15 @@ def test_decide_json_error_objects(capsys, monkeypatch):
     assert blob["status"] == "resource-limit"
     assert blob["error"] in err
 
+    def out_of_memory(self, goal):
+        raise MemoryError
+
+    monkeypatch.setattr(Engine, "decide", out_of_memory)
+    code, out, err = run(capsys, "decide", "p |- p", "--json")
+    assert code == 2
+    assert json.loads(out) == {"status": "resource-limit", "error": "resource limit: out of memory"}
+    assert err == "coreseq: resource limit: out of memory\n"
+
 
 # -- check ---------------------------------------------------------------------
 
@@ -177,8 +195,8 @@ def test_check_malformed_file(capsys, tmp_path):
         bad.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, "check", str(bad), "--json")
         assert code == 2, text
-        assert "cannot load derivation" in err
-        assert json.loads(out)["status"] == "error"
+        assert err.startswith("coreseq: cannot load derivation: ")
+        assert json.loads(out) == {"status": "error", "error": err.removeprefix("coreseq: ").rstrip("\n")}
 
 
 def test_check_unknown_keys_rejected(capsys, tmp_path):
@@ -266,6 +284,26 @@ def test_failed_repro_writes_nothing(capsys, monkeypatch, tmp_path, argv, env):
     out = tmp_path / "r"
     code, _, _ = run(capsys, "repro", "--out", str(out), *argv)
     assert code == 2
+    assert not out.exists()
+
+
+def test_repro_disagreement_exits_3_and_writes_nothing(capsys, monkeypatch, tmp_path):
+    # an engine that misreports eq2's minimal height must stop the run
+    eq2 = parse_sequent("|- ~A -> (A -> B)")
+    decide = Engine.decide
+
+    def misreport(self, goal):
+        res = decide(self, goal)
+        if goal == eq2:
+            return Provable(res.derivation, res.min_height + 1, res.stats)
+        return res
+
+    monkeypatch.setattr(Engine, "decide", misreport)
+    out = tmp_path / "r"
+    code, text, err = run(capsys, "repro", "--out", str(out))
+    assert code == 3
+    assert text == ""
+    assert err == "coreseq: internal disagreement: reported minimal height 4 does not match the witness\n"
     assert not out.exists()
 
 
@@ -401,13 +439,13 @@ def test_failed_write_prints_only_the_error_object(capsys, monkeypatch, tmp_path
 
 
 def test_only_main_catches_query_errors():
-    """Parse errors, resource limits and deep input become exit 2 in one
-    place, `main`; a subcommand that catches one itself has a second
-    error policy."""
+    """Parse errors, resource limits, memory exhaustion and deep input
+    become exit 2, and a `repro` disagreement exit 3, in one place, `main`;
+    a subcommand that catches one itself has a second error policy."""
     tree = ast.parse(inspect.getsource(cli))
     main_fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
     in_main = {id(n) for n in ast.walk(main_fn)}
-    query_errors = {"ParseError", "ResourceLimitError", "RecursionError"}
+    query_errors = {"ParseError", "ResourceLimitError", "RecursionError", "MemoryError", "_InternalDisagreement"}
     offenders = [
         handler.lineno
         for handler in ast.walk(tree)

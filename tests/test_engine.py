@@ -1,8 +1,8 @@
 import copy
 import inspect
-import itertools
 import pickle
 import random
+import time
 import tracemalloc
 import types
 
@@ -30,6 +30,7 @@ from coreseq import (
     Sequent,
     Unprovable,
     check_derivation,
+    countermodel,
     decide,
     decide_int,
     fixture_derivations,
@@ -383,16 +384,31 @@ def test_resource_limit_is_not_unprovable():
 
 
 def test_memo_cap_ignores_earlier_queries():
-    # the cap bounds the goals one query explores, not the shared table
-    eng = Engine(memo_cap=131)
+    # the cap bounds the premise lookups one query makes, not the shared
+    # table; the first query makes 1,140
+    eng = Engine(memo_cap=1200)
     assert eng.is_provable(S("p -> q, q -> r |- p -> r"))
     assert eng.min_height(S("r, s |- r & s")) == 1
-    assert Engine(memo_cap=131).min_height(S("r, s |- r & s")) == 1
+    assert Engine(memo_cap=1200).min_height(S("r, s |- r & s")) == 1
     # pruned goals also enter the table; fill it well past the cap
-    for goal in sequent_family(formula_universe(["p", "q"], 3), 5):
+    for goal in sequent_family(formula_universe(["p", "q"], 5), 6):
         eng.min_height(goal)
-    assert len(eng._heights) > 2 * 131
+    assert len(eng._heights) > 2 * 1200
     assert eng.min_height(S("r, s |- s & r")) == 1
+
+
+def test_memo_cap_bounds_premise_lookups_within_seconds():
+    # few goals explored, but their split groups are 2^n wide, so the
+    # premise lookups pass the cap long before the goals would
+    goal = S(
+        "(~p | (r -> r)) & (r & p | (r | p)), (p -> q -> q) & (~p | r), p -> p & r & r"
+        " |- r -> (p -> q) | r"
+    )
+    eng = Engine(memo_cap=50_000)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="cap of 50000 premise lookups"):
+        eng.decide(goal)
+    assert time.perf_counter() - start < 10
 
 
 # -- the root step --------------------------------------------------------------
@@ -648,37 +664,34 @@ def test_countervaluation_falsifies_the_goal():
     assert certified > 300
 
 
-def _reference_countervaluation(eng, goal):
-    """The lowest of the engine's rows that falsifies the goal, valuing only
-    the atoms `syntax.subformulas` finds in the goal: every other atom is
-    false in the lowest row.  Rows are read off the atoms' order in the
-    engine, not from its truth tables or atom bitsets."""
-    t = eng._t
-    position = {t.obj[i].name: k for k, i in enumerate(t.atoms)}
-    names = sequent_atoms(goal)
-    rows = sorted(
-        (sum(1 << position[n] for n, b in zip(names, bits) if b), bits)
-        for bits in itertools.product((False, True), repeat=len(names))
-    )
-    for _, bits in rows:
-        if falsifies(dict(zip(names, bits)), goal):
-            return tuple(zip(names, bits))
-    return None
+def _reference_countervaluation(goal):
+    """The root valuation of the first one-world Kripke countermodel, found
+    without the engine: one world's upsets are {} then {0}, so `countermodel`
+    values the goal's atoms, sorted by name, in product order with False
+    before True and the first name most significant."""
+    model = countermodel(goal, 1)
+    if model is None:
+        return None
+    return tuple((name, name in model.valuation[0]) for name in sequent_atoms(goal))
 
 
 @pytest.mark.parametrize("mode", ["tennant", "strict-table"])
 def test_countervaluation_matches_the_reference(mode):
-    shared = Engine(mode)
-    # s and t become atoms 0 and 1, so the family's atoms sit above them
-    assert shared.decide(S("s, t |- s & t")).is_provable
+    # s and t become atoms 0 and 1, so the family's atoms sit above them;
+    # q |- q puts q ahead of p; past the ceiling the tables are off
+    primed = [Engine(mode) for _ in range(3)]
+    assert primed[0].decide(S("s, t |- s & t")).is_provable
+    assert primed[1].decide(S("q |- q")).is_provable
+    names = [f"x{i}" for i in range(TABLE_ATOM_CEILING + 1)]
+    assert primed[2].decide(Sequent(tuple(Atom(n) for n in names), Atom("y"))).disconnected
     certified = 0
     for goal in sequent_family(formula_universe(["p", "q"], 6), 6):
+        want = _reference_countervaluation(goal)
         fresh = Engine(mode)
-        got = fresh._countervaluation(fresh._intern_goal(goal))
-        assert got == _reference_countervaluation(fresh, goal), print_sequent(goal)
-        res = shared.decide(goal)
-        want = _reference_countervaluation(shared, goal)
-        assert (None if res.is_provable else res.countervaluation) == want, print_sequent(goal)
+        assert fresh._countervaluation(fresh._intern_goal(goal)) == want, print_sequent(goal)
+        for eng in primed:
+            res = eng.decide(goal)
+            assert (None if res.is_provable else res.countervaluation) == want, print_sequent(goal)
         certified += want is not None
     assert certified > 2000
 
@@ -714,10 +727,11 @@ def test_filter_is_skipped_above_the_atom_ceiling():
     assert res.countervaluation is None and res.disconnected
     assert res.certificate.distinct_goals == 1
     # connected and classically invalid, yet found underivable by search,
-    # not by a table: the engine now holds more atoms than the ceiling
+    # not by a table: the engine now holds more atoms than the ceiling; the
+    # countervaluation comes from a table over the goal alone
     res = eng.decide(S("p | q |- p"))
     assert isinstance(res, Unprovable)
-    assert res.countervaluation is None and not res.disconnected
+    assert res.countervaluation == (("p", False), ("q", True)) and not res.disconnected
     assert res.certificate.distinct_goals == 13
     res = decide(S("p | q |- p"))
     assert res.countervaluation == (("p", False), ("q", True))
@@ -901,8 +915,9 @@ def test_closure_shares_no_code_with_the_engine_search():
     # the oracle's code, nested functions and module helpers included,
     # names none of the backward search's helpers
     banned = {
-        "_superset_closure", "_subsets", "_without", "_product_pairs",
-        "_blocks", "_instances", "Engine",
+        "_superset_closure", "_subsets", "_insert", "_remove", "_product_pairs",
+        "_blocks", "_instances", "_solve", "_settle_root", "_failing_rows",
+        "_disconnected", "_extract", "_intern_goal", "_FormulaTable", "Engine",
     }
     seen, todo = set(), [forward_closure.__code__]
     while todo:
