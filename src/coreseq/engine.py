@@ -66,10 +66,10 @@ classically invalid goal is settled underivable without being explored,
 and an instance with such a premise is dead.  The filter leans only on
 Core being contained in classical logic, never on an intuitionistic fact,
 so the comparisons against the intuitionistic oracle stay non-circular.
-Above TABLE_ATOM_CEILING atoms the tables would be too wide to pay off and
-the filter is switched off; verdicts, minimal heights and derivations are
-the same either way, because a pruned goal was never derivable, and a
-countervaluation comes from a table over the goal alone.
+Past TABLE_ATOM_CEILING atoms the tables are too wide to pay off: a goal
+whose own atoms pass it is searched unfiltered, with no countervaluation,
+and an engine that earlier goals' atoms take past it starts its table and
+memo over, which loses only facts and so never changes a result.
 
 Connectivity filter.  Core logic is relevant: link two formulas of the
 antecedent and the succedent (the antecedent alone under the absurdity
@@ -135,8 +135,8 @@ from .syntax import (
 
 DEFAULT_MEMO_CAP = 10_000_000
 
-# Truth tables are 2**atoms bits wide; past this many atoms the classical
-# filter is off.
+# Truth tables are 2**atoms bits wide; for a goal with more atoms than
+# this the classical filter is off.
 TABLE_ATOM_CEILING = 16
 
 # forward_closure keeps bitsets 2**formulas bits wide; past this many
@@ -259,11 +259,11 @@ _set_stats = Provable.stats.__set__
 
 class Unprovable(_Record):
     # countervaluation: (atom name, truth value) pairs sorted by name, set
-    # when the goal is classically invalid: the valuation satisfies the
-    # antecedent and falsifies the succedent (or, for the absurdity
-    # marker, just satisfies the antecedent).  It is the first such
-    # valuation in product order (False before True, the first name most
-    # significant), whatever the engine answered before.
+    # when the goal, with at most TABLE_ATOM_CEILING atoms, is classically
+    # invalid: the valuation satisfies the antecedent and falsifies the
+    # succedent (or, for the absurdity marker, just satisfies the
+    # antecedent).  It is the first such valuation in product order (False
+    # before True, the first name most significant).
     # disconnected: set when the goal is classically valid (or past the
     # table ceiling) but its formulas split into groups sharing no atom,
     # so the connectivity filter settled it unexplored.
@@ -303,7 +303,8 @@ class _FormulaTable:
     `truth[i]` is formula i's truth table: bit v is its value under the
     valuation that makes atom k true exactly when bit k of v is set, atoms
     numbered in `atoms` order.  `full` has a bit for every valuation; past
-    TABLE_ATOM_CEILING atoms it and every table are 0.  `atom_bits[i]` has
+    TABLE_ATOM_CEILING atoms it and every table are 0, which only one goal's
+    own atoms may cause (see `Engine._intern_goal`).  `atom_bits[i]` has
     bit k set when formula i mentions atom k; it has no ceiling.
     """
 
@@ -313,7 +314,6 @@ class _FormulaTable:
         self.kind: list[int] = []
         self.left: list[int] = []
         self.right: list[int] = []
-        self.fweight: list[int] = []
         self.rank: list[tuple[int, str]] = []
         self.truth: list[int] = []
         self.atom_bits: list[int] = []
@@ -348,10 +348,8 @@ class _FormulaTable:
         self.kind.append(k)
         self.left.append(a)
         self.right.append(b)
-        w = f.weight
-        self.fweight.append(w)
         # antecedent_key, built inline
-        self.rank.append((-w, f.text))
+        self.rank.append((-f.weight, f.text))
         truth.append(table)
         atom_bits.append(mentions)
         if k == _KATOM:
@@ -436,11 +434,11 @@ def _product_pairs(family):
 class Engine:
     """Memoizing decision engine for one succedent mode.
 
-    Verdicts and minimal heights persist across queries; they are pure
-    facts about sequents, so sharing the table never changes results.
-    `memo_cap` bounds the premise lookups one query makes (`goals_expanded`,
-    and so the goals it explores), not the table, so it does not depend on
-    earlier queries either.
+    Verdicts and minimal heights persist across queries until a goal takes
+    the tables past TABLE_ATOM_CEILING atoms; they are pure facts, so
+    sharing the table never changes results.  `memo_cap` bounds the premise
+    lookups one query makes (`goals_expanded`, and so the goals it explores),
+    not the table, so it does not depend on earlier queries either.
     Not thread-safe: one instance serves one thread, and its caller owns it.
     """
 
@@ -484,9 +482,14 @@ class Engine:
 
     def _intern_goal(self, s: Sequent) -> tuple:
         t = self._t
+        held = len(t.obj)
         # a sequent keeps its antecedent in antecedent_key order, the rank
         ants = tuple(t.intern(f) for f in s.antecedent)
         succ = _ABSURD if s.succedent is None else t.intern(s.succedent)
+        if held and not t.full:
+            # earlier goals' atoms took the tables off: start over
+            self._t, self._heights = _FormulaTable(), {}
+            return self._intern_goal(s)
         return (ants, succ)
 
     def _goal_sequent(self, g: tuple) -> Sequent:
@@ -497,11 +500,11 @@ class Engine:
         )
 
     def _goal_weight(self, g: tuple) -> int:
-        fw = self._t.fweight
+        obj = self._t.obj
         ants, succ = g
-        total = sum(fw[i] for i in ants)
+        total = sum(obj[i].weight for i in ants)
         if succ != _ABSURD:
-            total += fw[succ]
+            total += obj[succ].weight
         return total
 
     def _failing_rows(self, g: tuple) -> int:
@@ -557,17 +560,12 @@ class Engine:
     def _countervaluation(self, g: tuple) -> Optional[tuple[tuple[str, bool], ...]]:
         """The goal's first falsifying valuation in product order (see
         `Unprovable`), if it has one: each atom in turn, sorted by name,
-        keeps the failing rows that make it False when there are any.  An
-        engine whose tables are off asks a fresh one over the goal alone."""
-        t = self._t
-        if not t.full:
-            fresh = Engine(self.mode)
-            fg = fresh._intern_goal(self._goal_sequent(g))
-            # asked only with its tables on, so it never comes back here
-            return fresh._countervaluation(fg) if fresh._t.full else None
+        keeps the failing rows that make it False when there are any.  None
+        also when the goal alone took the tables off."""
         rows = self._failing_rows(g)
         if not rows:
             return None
+        t = self._t
         truth, bits = t.truth, t.atom_bits
         ants, succ = g
         mentioned = 0 if succ == _ABSURD else bits[succ]

@@ -350,7 +350,6 @@ def test_interned_weights_match_the_syntax():
     t = eng._t
     assert len(t.obj) > 1000
     for i, f in enumerate(t.obj):
-        assert t.fweight[i] == weight(f)
         assert t.rank[i][0] == -weight(f)
 
 
@@ -678,7 +677,7 @@ def _reference_countervaluation(goal):
 @pytest.mark.parametrize("mode", ["tennant", "strict-table"])
 def test_countervaluation_matches_the_reference(mode):
     # s and t become atoms 0 and 1, so the family's atoms sit above them;
-    # q |- q puts q ahead of p; past the ceiling the tables are off
+    # q |- q puts q ahead of p; the third engine has gone past the ceiling
     primed = [Engine(mode) for _ in range(3)]
     assert primed[0].decide(S("s, t |- s & t")).is_provable
     assert primed[1].decide(S("q |- q")).is_provable
@@ -726,18 +725,117 @@ def test_filter_is_skipped_above_the_atom_ceiling():
     assert isinstance(res, Unprovable)
     assert res.countervaluation is None and res.disconnected
     assert res.certificate.distinct_goals == 1
-    # connected and classically invalid, yet found underivable by search,
-    # not by a table: the engine now holds more atoms than the ceiling; the
-    # countervaluation comes from a table over the goal alone
+    # the next goal starts the tables over, so its own atoms decide: settled
+    # at the root, as on a fresh engine
     res = eng.decide(S("p | q |- p"))
-    assert isinstance(res, Unprovable)
     assert res.countervaluation == (("p", False), ("q", True)) and not res.disconnected
-    assert res.certificate.distinct_goals == 13
-    res = decide(S("p | q |- p"))
-    assert res.countervaluation == (("p", False), ("q", True))
     assert res.certificate.distinct_goals == 1
+    assert res == decide(S("p | q |- p"))
+    # a goal that alone mentions more atoms than the ceiling is searched
+    # without the classical filter, and has no countervaluation
+    chain = Atom(names[-1])
+    for n in reversed(names[:-1]):
+        chain = Imp(Atom(n), chain)
+    res = eng.decide(Sequent((), chain))
+    assert isinstance(res, Unprovable)
+    assert res.countervaluation is None and not res.disconnected
+    assert res.certificate.distinct_goals == 49
     res = decide(Sequent((Atom("x0"),), Atom("y")))
     assert res.countervaluation == (("x0", True), ("y", False))
+
+
+# -- the goal alone decides the tables ------------------------------------------
+
+_PAST_CEILING = Sequent(
+    tuple(Atom(f"x{i}") for i in range(TABLE_ATOM_CEILING + 1)), Atom("y")
+)
+
+
+def _primed(mode="tennant", memo_cap=engine.DEFAULT_MEMO_CAP):
+    """An engine that has decided a goal with more atoms than the ceiling."""
+    eng = Engine(mode, memo_cap)
+    assert eng.decide(_PAST_CEILING).disconnected
+    return eng
+
+
+def _decide_draws(seed, count):
+    """Queries shaped like the benchmark's decide workload: every other one
+    a theorem candidate over p, q of weight 6-9, the rest 1-4 antecedent
+    formulas over p, q, r, a quarter of them with the absurdity marker."""
+
+    def formula(rng, atoms, w):
+        if w == 1:
+            return Atom(rng.choice(atoms))
+        if w == 2:
+            return Neg(Atom(rng.choice(atoms)))
+        kind = rng.randrange(4)
+        if kind == 0:
+            return Neg(formula(rng, atoms, w - 1))
+        lw = rng.randint(1, w - 2)
+        return (And, Or, Imp)[kind - 1](formula(rng, atoms, lw), formula(rng, atoms, w - 1 - lw))
+
+    rng = random.Random(seed)
+    draws = []
+    for k in range(count):
+        if k % 2 == 0:
+            draws.append(Sequent((), formula(rng, ("p", "q"), rng.randint(6, 9))))
+            continue
+        n = rng.randint(1, 4)
+        absurd = rng.random() < 0.25
+        parts = n + (0 if absurd else 1)
+        total = rng.randint(parts, 9)
+        cuts = sorted(rng.sample(range(1, total), parts - 1))
+        weights = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+        fs = [formula(rng, ("p", "q", "r"), w) for w in weights]
+        draws.append(Sequent(tuple(fs[:n]), None if absurd else fs[n]))
+    return draws
+
+
+def test_sixteen_atoms_after_seventeen_answer_at_the_root():
+    goal = S(" | ".join(f"x{i}" for i in range(TABLE_ATOM_CEILING)) + " |- x0")
+    start = time.perf_counter()
+    res = _primed(memo_cap=10_000).decide(goal)
+    assert time.perf_counter() - start < 1
+    assert isinstance(res, Unprovable) and not res.disconnected
+    # every atom False but the last by name, which makes the antecedent true
+    names = sorted(f"x{i}" for i in range(TABLE_ATOM_CEILING))
+    assert res.countervaluation == tuple((n, n == names[-1]) for n in names)
+    assert res.certificate.goals_expanded == 1
+    assert res == decide(goal)
+
+
+def test_primed_engine_keeps_a_fresh_engines_cap():
+    goal = S("p | (q | ~r), ~p |-")
+    assert _primed(memo_cap=1).decide(goal) == Engine(memo_cap=1).decide(goal)
+
+
+@pytest.mark.parametrize("mode", ["tennant", "strict-table"])
+def test_primed_engine_answers_as_a_fresh_one(mode):
+    eng = Engine(mode)
+    searched = 0
+    for goal in _decide_draws(11, 200):
+        assert eng.decide(_PAST_CEILING).disconnected
+        res = eng.decide(goal)
+        assert res == Engine(mode).decide(goal), print_sequent(goal)
+        stats = res.stats if res.is_provable else res.certificate
+        searched += stats.goals_expanded > 1
+    assert searched > 20
+
+
+@pytest.mark.parametrize("text", [
+    "p -> q, q -> r |- p -> r",
+    "p -> q, q -> p, p | q |- p & q",
+    "(p -> q) -> p |- p",
+])
+def test_memo_cap_boundary_is_the_fresh_lookup_count(text):
+    goal = S(text)
+    res = Engine().decide(goal)
+    n = (res.stats if res.is_provable else res.certificate).goals_expanded
+    assert n > 1
+    for make in (Engine, _primed):
+        with pytest.raises(ResourceLimitError):
+            make(memo_cap=n - 1).decide(goal)
+        assert make(memo_cap=n).decide(goal) == res
 
 
 # -- provable_subsequents ----------------------------------------------------
