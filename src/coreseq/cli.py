@@ -78,12 +78,7 @@ def _dump(obj) -> str:
 
 
 def _stats_json(stats) -> dict:
-    return {
-        "goals_expanded": stats.goals_expanded,
-        "distinct_goals": stats.distinct_goals,
-        "max_weight_seen": stats.max_weight_seen,
-        "mode": stats.mode,
-    }
+    return dict(zip(stats.__slots__, stats._fields()))
 
 
 def _decision_json(result) -> dict:

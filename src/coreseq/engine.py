@@ -113,6 +113,7 @@ with the search.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from typing import Iterable, Optional, Union
 
 from .kernel import MODES, RULE_NAMES, Derivation
@@ -120,11 +121,12 @@ from .syntax import (
     And,
     Atom,
     Formula,
-    FrozenSlots,
     Imp,
     Neg,
     Or,
     Sequent,
+    _Record,
+    antecedent_key,
     formula_key,
     is_subformula_closed,
     print_formula,
@@ -173,34 +175,6 @@ _OPEN = -1
 
 class ResourceLimitError(RuntimeError):
     """Search or saturation exceeded its configured size cap."""
-
-
-class _Record(FrozenSlots):
-    """Value semantics over the slots, in slot order, as a frozen dataclass
-    gives them: `==` between instances of one class, `hash` of the field
-    tuple, a `Name(field=value, ...)` repr, and copy and pickle through the
-    positional constructor.  Each subclass writes its slots in `__init__`
-    through the slot descriptors."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._fields()
 
 
 class SearchStats(_Record):
@@ -348,8 +322,7 @@ class _FormulaTable:
         self.kind.append(k)
         self.left.append(a)
         self.right.append(b)
-        # antecedent_key, built inline
-        self.rank.append((-f.weight, f.text))
+        self.rank.append(antecedent_key(f))
         truth.append(table)
         atom_bits.append(mentions)
         if k == _KATOM:
@@ -376,10 +349,6 @@ class _FormulaTable:
         old = self.full
         self.full = old | old << shift
         return old << shift
-
-
-def _remove(ants: tuple[int, ...], x: int) -> tuple[int, ...]:
-    return tuple(a for a in ants if a != x)
 
 
 def _subsets(base: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -585,11 +554,8 @@ class Engine:
         if x in ants:
             return ants
         rank = self._t.rank
-        rx = rank[x]
-        for pos in range(len(ants)):
-            if rx < rank[ants[pos]]:
-                return ants[:pos] + (x,) + ants[pos:]
-        return ants + (x,)
+        pos = bisect_right(ants, rank[x], key=rank.__getitem__)
+        return ants[:pos] + (x,) + ants[pos:]
 
     # -- instance enumeration (id space) --
 
@@ -615,10 +581,10 @@ class Engine:
         subs = None  # every sub-tuple of the antecedent, built on first use
 
         if succ == _ABSURD:
-            for f in ants:
+            for pos, f in enumerate(ants):
                 if kind[f] == _KNEG:
                     a = left[f]
-                    blocks[_LNEG] += (((_remove(ants, f), a),), ((ants, a),))
+                    blocks[_LNEG] += (((ants[:pos] + ants[pos + 1:], a),), ((ants, a),))
         else:
             if len(ants) == 1 and ants[0] == succ:
                 blocks[_AX].append(())
@@ -647,7 +613,7 @@ class Engine:
             k = kind[f]
             if k == _KAND and left_absurd_ok:
                 a, b = left[f], right[f]
-                for base in (_remove(ants, f), ants):
+                for base in (ants[:pos] + ants[pos + 1:], ants):
                     if a in base or b in base:
                         continue
                     inserts = ((a,),) if a == b else ((a,), (b,), (a, b))

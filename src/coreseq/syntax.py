@@ -82,6 +82,34 @@ class FrozenSlots:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+class _Record(FrozenSlots):
+    """Value semantics over the slots, in slot order, as a frozen dataclass
+    gives them: `==` between instances of one class, `hash` of the field
+    tuple, a `Name(field=value, ...)` repr, and copy and pickle through the
+    positional constructor.  Each subclass writes its slots in `__init__`
+    through the slot descriptors."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
 class Formula(FrozenSlots):
     """A formula node.  `weight` (the node count) and `text` (the canonical
     form) are set once, at construction, from the children's fields."""
@@ -201,7 +229,7 @@ def antecedent_key(f: Formula) -> tuple[int, str]:
 Succedent = Optional[Formula]
 
 
-class Sequent(FrozenSlots):
+class Sequent(_Record):
     """Finite-set antecedent plus a single succedent.
 
     The antecedent may be passed as any iterable; it is deduplicated and
@@ -220,20 +248,6 @@ class Sequent(FrozenSlots):
             ant = tuple(sorted(set(ant), key=antecedent_key))
         _set_antecedent(self, ant)
         _set_succedent(self, succedent)
-
-    def __eq__(self, other):
-        if isinstance(other, Sequent):
-            return self.antecedent == other.antecedent and self.succedent == other.succedent
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.antecedent, self.succedent))
-
-    def __repr__(self):
-        return f"Sequent(antecedent={self.antecedent!r}, succedent={self.succedent!r})"
-
-    def __reduce__(self):
-        return Sequent, (self.antecedent, self.succedent)
 
     def antecedent_set(self) -> frozenset[Formula]:
         return frozenset(self.antecedent)

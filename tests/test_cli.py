@@ -46,6 +46,20 @@ def test_decide_provable_exits_0(capsys):
     assert blob["stats"]["mode"] == "tennant"
 
 
+def test_decide_json_stats_are_the_results(capsys):
+    # a provable query, a searched unprovable one and one settled at the root
+    for text in ("|- ~A -> (A -> B)", "p, p -> q |- p", "p | q |- p"):
+        _, out, _ = run(capsys, "decide", text, "--json")
+        res = Engine().decide(parse_sequent(text))
+        stats = res.stats if isinstance(res, Provable) else res.certificate
+        assert json.loads(out)["stats"] == {
+            "goals_expanded": stats.goals_expanded,
+            "distinct_goals": stats.distinct_goals,
+            "max_weight_seen": stats.max_weight_seen,
+            "mode": stats.mode,
+        }, text
+
+
 def test_decide_intuitionistic_logic(capsys):
     code, _, _ = run(capsys, "decide", "~A, A |- B", "--logic", "int")
     assert code == 0

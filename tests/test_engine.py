@@ -47,7 +47,7 @@ from coreseq import (
 from coreseq import engine
 from coreseq.engine import CLOSURE_FORMULA_CEILING, TABLE_ATOM_CEILING, backward_instances
 from coreseq.kernel import check_rule
-from coreseq.syntax import subformulas, weight
+from coreseq.syntax import antecedent_key, subformulas, weight
 
 S = parse_sequent
 F = parse_formula
@@ -351,6 +351,24 @@ def test_interned_weights_match_the_syntax():
     assert len(t.obj) > 1000
     for i, f in enumerate(t.obj):
         assert t.rank[i][0] == -weight(f)
+        assert t.rank[i] == antecedent_key(f)
+
+
+def test_insert_keeps_the_sequent_antecedent_order():
+    # inserting x into an interned antecedent gives the ids of the
+    # antecedent that Sequent builds from the same formulas plus x
+    universe = formula_universe(["p", "q", "r"], 4)
+    eng = Engine()
+    intern = eng._t.intern
+    for f in universe:
+        intern(f)
+    rng = random.Random(19)
+    for _ in range(2_000):
+        fs = rng.sample(universe, rng.randint(0, 4))
+        x = rng.choice(fs) if fs and rng.random() < 0.2 else rng.choice(universe)
+        ants = tuple(intern(f) for f in Sequent(fs, None).antecedent)
+        want = tuple(intern(f) for f in Sequent(fs + [x], None).antecedent)
+        assert eng._insert(ants, intern(x)) == want, ([str(f) for f in fs], str(x))
 
 
 def test_determinism_across_fresh_engines():
