@@ -36,14 +36,49 @@ a join, after Knuth's generalisation of Dijkstra's algorithm (D. E. Knuth,
 rule: whenever a side mask's height h becomes known, it is recorded and
 paired with the other side's settled masks covering the rest of need,
 and the conclusion is queued at 1 + max(h, best partner).  A height
-becomes known either at registration, for a premise settled before the
-query, or when the premise settles during it.  Registration records the
-left side first, so a pair settled on both sides before the query is
-joined once, when its right side is recorded.  A partner of height at
-most h gives the best pair at once; any partner settled earlier in the
-same query is one.  The cost is 2^n per side plus the pairs whose sides
-both settle, where listing the pairs would build and look up 3^n of them
-(times the combos).
+becomes known either at registration, for a premise already settled
+when it is looked up, or when the premise settles later.  Registration
+records the left side first, so a pair settled on both sides at
+registration is joined once, when its right side is recorded.  A partner
+of height at most h gives the best pair at once.  The cost is 2^n per
+side plus the pairs whose sides both settle, where listing the pairs
+would build and look up 3^n of them (times the combos).
+
+Search order.  The search explores breadth first, level by level, and
+records each goal's depth when it first discovers it (the root's is 0).
+The heap holds (height + depth, height, goal) entries, and popping them
+in that order is exact: Knuth's argument, with the depth as a potential.
+Keys never fall: settling a goal at height h queues a conclusion at a
+greater height, at most one level above the goal, and expanding level L
+queues nothing with a key below L + 1.  And a better
+derivation pops first.  A premise is discovered at most one level below
+its conclusion, so a goal k steps below g in a derivation of g of height
+h' lies at depth at most depth(g) + k, at height at most h' - k.  With
+h' below the height h at which g is queued, every such goal has a
+smaller key than g's entry; by induction from the derivation's leaves
+(axioms, and goals already settled) they all settle first, and g is
+queued at h' before its entry at h pops.
+
+Stopping.  `decide` settles between levels.  After level L is expanded,
+every goal of depth at most L has its instances registered, and each
+axiom of depth L + 1 was queued at height 0 when it was discovered.  Take
+an entry of key at most L + 1 for g at height h.  A derivation of g below
+h puts each of its goals at depth at most depth(g) + h - 1 - (its
+height), which is at most L, so every goal the argument above needs is
+expanded, and the entry pops at g's minimal height.  So `decide` settles
+every entry of key at most L + 1 and returns once the root is settled.
+A derivation of height h lies within depth h of its root, so with the
+axioms queued on discovery the root settles after level h - 1.  Every
+goal settled this way enters the memo at its minimal height.  The goals
+a stopped search explored but left unsettled stay out of the memo and
+are never recorded underivable, so a later query explores them again;
+only an emptied frontier settles the remaining goals underivable.  A
+premise of height below a settled goal's settles before it, so
+extraction after a stopped search finds the instance it finds after
+exhaustion.  `min_height` does not stop: its callers share one engine
+across a family and reuse every fact exhaustion settles, and stopping
+there too left sweeps searching rows again.
+
 `_instances` streams the same groups as pairs, lazily, in the order of the
 3^n product recurrence.  Derivation extraction stops at the first instance
 whose settled premises realise the goal's height; `backward_instances`
@@ -113,6 +148,7 @@ with the search.
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_right
 from typing import Iterable, Optional, Union
 
@@ -164,9 +200,10 @@ _KIND_OF = {Atom: _KATOM, Neg: _KNEG, And: _KAND, Or: _KOR, Imp: _KIMP}
     _RIMPB,
 ) = range(11)
 
-# the two-premise rules, whose instances are split pairs, and the rest
+# the two-premise rules, whose instances are split pairs, and the
+# one-premise rules
 _SPLIT_RULES = (_RAND, _LOR, _LIMP)
-_ONE_PREMISE_RULES = tuple(r for r in range(11) if r not in _SPLIT_RULES)
+_ONE_PREMISE_RULES = tuple(r for r in range(11) if r != _AX and r not in _SPLIT_RULES)
 
 # the answer of a premise lookup or of the root step for a goal that may
 # still be derived
@@ -184,10 +221,12 @@ class SearchStats(_Record):
     side premise of a split group, not one per premise pair; a group
     (rule, principal, succedent combo) serves both the discharged and the
     retained variant of LOr and LImp), plus one for the root.
-    `distinct_goals` counts the goals the query explored plus the
-    already-settled goals it looked up; a root settled before the
-    query, classically invalid or disconnected, counts 1 and 1.
-    `max_weight_seen` is the largest weight of an explored goal.
+    `distinct_goals` counts the goals the query discovered plus the
+    already-settled goals it looked up, each once; a root settled before
+    the query, classically invalid or disconnected, counts 1 and 1.
+    `max_weight_seen` is the largest weight of a goal the search expanded.
+    Only `decide` reports them, and its search stops once the root's
+    minimal height is certified, so they count the search up to there.
     """
 
     __slots__ = ("goals_expanded", "distinct_goals", "max_weight_seen", "mode")
@@ -404,10 +443,11 @@ class Engine:
     """Memoizing decision engine for one succedent mode.
 
     Verdicts and minimal heights persist across queries until a goal takes
-    the tables past TABLE_ATOM_CEILING atoms; they are pure facts, so
-    sharing the table never changes results.  `memo_cap` bounds the premise
-    lookups one query makes (`goals_expanded`, and so the goals it explores),
-    not the table, so it does not depend on earlier queries either.
+    the tables past TABLE_ATOM_CEILING atoms; only settled goals enter the
+    table and they are pure facts, so sharing it never changes results.
+    `memo_cap` bounds the premise lookups one query makes (`goals_expanded`,
+    and so the goals it explores), not the table, so it does not depend on
+    earlier queries either.
     Not thread-safe: one instance serves one thread, and its caller owns it.
     """
 
@@ -422,11 +462,18 @@ class Engine:
     # -- public API --
 
     def decide(self, goal: Sequent) -> DecisionResult:
+        """The goal's derivation and minimal height, or its unprovability,
+        with the search's statistics.  The search stops once the root's
+        minimal height is certified (see the module docstring): the one
+        derivation it returns needs no more of the space.  An underivable
+        root is settled only when the space is exhausted."""
         g = self._intern_goal(goal)
         h = self._settle_root(g)
         if h == _OPEN:
-            stats = self._solve(g)
+            lookups, distinct, levels = self._solve(g, True)
             h = self._heights[g]
+            maxw = max(self._goal_weight(x) for level in levels for x in level)
+            stats = SearchStats(lookups, distinct, maxw, self.mode)
         else:
             stats = SearchStats(1, 1, self._goal_weight(g), self.mode)
         if h is None:
@@ -439,11 +486,14 @@ class Engine:
 
     def min_height(self, goal: Sequent) -> Optional[int]:
         """The goal's minimal height, None when it is underivable.  Reports
-        no statistics, so a root the root step settles costs no search."""
+        no statistics, so a root the root step settles costs no search.
+        Unlike `decide`, it explores the whole reachable space before it
+        settles: its callers sweep a family on one engine and reuse every
+        fact exhaustion settles."""
         g = self._intern_goal(goal)
         h = self._settle_root(g)
         if h == _OPEN:
-            self._solve(g)
+            self._solve(g, False)
             h = self._heights[g]
         return h
 
@@ -677,43 +727,56 @@ class Engine:
             h = settled[g] = None  # classically invalid or disconnected, so underivable
         return h
 
-    def _solve(self, root: tuple) -> SearchStats:
+    def _solve(self, root: tuple, stop: bool) -> tuple[int, int, list[list[tuple]]]:
         """Explore the goals below an open root (one `_settle_root` left
-        open) and settle their minimal heights.
+        open) level by level and settle their minimal heights.
+
+        With `stop`, each expanded level settles every goal it makes exact,
+        and the search returns once the root is settled; without it, the
+        whole reachable space is explored first (see the module docstring).
+        Returns the premise lookups made plus one for the root, the distinct
+        goals discovered or looked up, and the expanded goals by level.
 
         One-premise instances wait on their premise.  A split rule is a join
         of two sides (see the module docstring): `settle_side` is the one
         place a side premise's height enters its group, whether the premise
-        was settled before this query or settles during it.
+        was settled before it was looked up or settles afterwards.
         """
         settled = self._heights
         failing_rows, disconnected = self._failing_rows, self._disconnected
         visits = 1
-        maxw = 0  # the root is explored first
 
-        heap: list[tuple[int, tuple]] = []
-        nodes: set[tuple] = {root}
-        touched_settled: set[tuple] = set()
-        # premise -> conclusions of the one-premise instances waiting on it
-        waiting: dict[tuple, list[tuple]] = {}
+        # entries (height + depth, height, goal), popped in that order
+        heap: list[tuple[int, int, tuple]] = []
+        depth: dict[tuple, int] = {}  # explored goal -> level it was discovered at
+        touched: set[tuple] = set()
+        # premise -> (conclusion, its depth) of the one-premise instances
+        # waiting on it
+        waiting: dict[tuple, list[tuple[tuple, int]]] = {}
         # premise -> (group, side, mask) slots it fills in split groups; a
         # group is [conclusion, need mask, left heights, right heights,
-        # settled left masks, settled right masks]
+        # settled left masks, settled right masks, conclusion's depth]
         joined: dict[tuple, list[tuple[list, int, int]]] = {}
+        fresh: list[tuple] = []  # the goals discovered one level down
 
-        stack = [root]
+        def discover(p: tuple, dp: int) -> None:
+            depth[p] = dp
+            fresh.append(p)
+            ants, succ = p
+            if len(ants) == 1 and ants[0] == succ:
+                heapq.heappush(heap, (dp, 0, p))  # Ax
 
         def look(p: tuple) -> Optional[int]:
             """One premise lookup: the premise's height if it is settled
             provable, _OPEN if it may still be derived, None if it is
             underivable."""
             if p in settled:
-                touched_settled.add(p)
+                touched.add(p)
                 return settled[p]
-            if p in nodes or not (failing_rows(p) or disconnected(p)):
+            if p in depth or not (failing_rows(p) or disconnected(p)):
                 return _OPEN
             settled[p] = None  # classically invalid or disconnected, so underivable
-            touched_settled.add(p)
+            touched.add(p)
             return None
 
         def wait(p: tuple, entry, table: dict) -> None:
@@ -721,9 +784,8 @@ class Engine:
                 table[p].append(entry)
             else:
                 table[p] = [entry]
-            if p not in nodes:
-                nodes.add(p)
-                stack.append(p)
+            if p not in depth:
+                discover(p, d + 1)
 
         def settle_side(grp: list, side: int, m: int, h: int) -> None:
             """Side mask m of a group is known at height h: join it with the
@@ -743,7 +805,7 @@ class Engine:
                     if best is None or hx < best:
                         best = hx
             if best is not None:
-                heapq.heappush(heap, (1 + best, grp[0]))
+                heapq.heappush(heap, (1 + best + grp[6], 1 + best, grp[0]))
 
         def open_group(g: tuple, free: int, lefts: list, rights: list) -> int:
             """Register one split group of goal g; returns the lookups made.
@@ -793,7 +855,7 @@ class Engine:
             )
             # a side's height list keeps only its settled masks; an open
             # or unpaired one is None until settle_side records it
-            grp = [g, need, [None] * size, [None] * size, [], []]
+            grp = [g, need, [None] * size, [None] * size, [], [], d]
             for side, prems, heights, cover in (
                 (0, lefts, left_h, cover_right),
                 (1, rights, right_h, cover_left),
@@ -808,58 +870,61 @@ class Engine:
                         settle_side(grp, side, m, ph)
             return lookups
 
-        while stack:
-            g = stack.pop()
-            w = self._goal_weight(g)
-            if w > maxw:
-                maxw = w
-            blocks = self._blocks(g)
-            for rule in _ONE_PREMISE_RULES:
-                for prems in blocks[rule]:
-                    if not prems:
-                        heapq.heappush(heap, (0, g))
-                        continue
-                    visits += 1
-                    ph = look(prems[0])
-                    if ph is None:
-                        continue
-                    if ph == _OPEN:
-                        wait(prems[0], g, waiting)
-                    else:
-                        heapq.heappush(heap, (1 + ph, g))
-            for rule in _SPLIT_RULES:
-                for free, groups in blocks[rule]:
-                    for lefts, rights in groups:
-                        visits += open_group(g, free, lefts, rights)
-            # every explored goal is looked up, so this bounds them too
-            if visits > self.memo_cap:
-                raise ResourceLimitError(
-                    f"one query made more than the cap of {self.memo_cap} premise lookups"
-                )
+        def settle(bound: float) -> None:
+            """Settle every queued goal whose key is at most `bound`."""
+            while heap and heap[0][0] <= bound:
+                _, h, g = heapq.heappop(heap)
+                if g in settled:
+                    continue
+                settled[g] = h
+                for c, dc in waiting.get(g, ()):
+                    if c not in settled:
+                        heapq.heappush(heap, (1 + h + dc, 1 + h, c))
+                for grp, side, m in joined.get(g, ()):
+                    if grp[0] not in settled:
+                        settle_side(grp, side, m, h)
 
-        # Settle provable goals in order of minimal height.
-        while heap:
-            h, g = heapq.heappop(heap)
-            if g in settled:
-                continue
-            settled[g] = h
-            for c in waiting.get(g, ()):
-                if c not in settled:
-                    heapq.heappush(heap, (1 + h, c))
-            for grp, side, m in joined.get(g, ()):
-                if grp[0] not in settled:
-                    settle_side(grp, side, m, h)
+        discover(root, 0)
+        levels = []
+        d = 0
+        while fresh:
+            level, fresh = fresh, []
+            levels.append(level)
+            for g in level:
+                blocks = self._blocks(g)
+                for rule in _ONE_PREMISE_RULES:
+                    for (p,) in blocks[rule]:
+                        visits += 1
+                        ph = look(p)
+                        if ph is None:
+                            continue
+                        if ph == _OPEN:
+                            wait(p, (g, d), waiting)
+                        else:
+                            heapq.heappush(heap, (1 + ph + d, 1 + ph, g))
+                for rule in _SPLIT_RULES:
+                    for free, groups in blocks[rule]:
+                        for lefts, rights in groups:
+                            visits += open_group(g, free, lefts, rights)
+                # every explored goal is looked up, so this bounds them too
+                if visits > self.memo_cap:
+                    raise ResourceLimitError(
+                        f"one query made more than the cap of {self.memo_cap} premise lookups"
+                    )
+            d += 1
+            if stop:
+                # every goal of key at most d is now exact
+                settle(d)
+                if root in settled:
+                    return visits, len(touched.union(depth)), levels
 
+        settle(math.inf)
         # Everything explored but never settled is underivable: the whole
         # finite space below it has been exhausted.
-        for g in nodes:
+        for g in depth:
             if g not in settled:
                 settled[g] = None
-
-        # disjoint: a touched goal is settled, so it never waits, and a node
-        # is settled only after exploration
-        distinct = len(nodes) + len(touched_settled)
-        return SearchStats(visits, distinct, maxw, self.mode)
+        return visits, len(touched.union(depth)), levels
 
     def _extract(self, g: tuple) -> Derivation:
         settled = self._heights

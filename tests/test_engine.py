@@ -253,7 +253,7 @@ def test_extraction_takes_the_first_realising_instance(mode):
         ("q | ~q, ~(p & q), p & q |- ~(p | q)", (5, 534, 534), (5, 534, 534)),
         ("~q | (q | r), p |- p", (None, 1, 181), (None, 1, 181)),
         ("~p | p, ~q, q, r |- r", (None, 1, 197), (None, 1, 197)),
-        ("~p | ~r & p, p, r |-", (3, 170, 170), (None, 163, 163)),
+        ("~p | ~r & p, p, r |-", (3, 95, 98), (None, 163, 163)),
         ("(r -> ~r) & (r & ~p) |-", (4, 184, 184), (None, 1, 1)),
         ("p & ~p, ~(p & p), ~q | q |- q & p", (None, 455, 551), (None, 455, 551)),
     ],
@@ -262,6 +262,8 @@ def test_split_heavy_queries(text, tennant, strict):
     # the slowest queries of the random-sequent suites, where LOr, LImp
     # and RAnd have the most premise pairs; the distinct goal counts pin
     # the explored space, which joining the split sides must not change.
+    # The search of the fourth root in tennant mode stops once its height
+    # 3 is certified; the others exhaust their space.
     # The second and third roots are disconnected (r and ~p | p share no
     # atom with the rest), so the connectivity filter settles them at once
     goal = S(text)
@@ -285,9 +287,11 @@ _FAMILY6 = sequent_family(formula_universe(["p", "q"], 6), 6)
 
 
 def _family6_space(engine_class, mode):
-    """Over the 2-atom weight-6 family: the summed distinct goals on fresh
-    engines and on one shared engine, the shared engine's table size
-    afterwards, and the provable rows with their summed minimal heights."""
+    """Over the 2-atom weight-6 family: the summed distinct goals of
+    `decide` on fresh engines and on one shared engine, the shared engine's
+    table size afterwards, the table size after the same sweep by
+    `min_height`, which explores to exhaustion, and the provable rows with
+    their summed minimal heights."""
 
     def distinct(res):
         return (res.stats if res.is_provable else res.certificate).distinct_goals
@@ -296,36 +300,45 @@ def _family6_space(engine_class, mode):
     eng = engine_class(mode)
     results = [eng.decide(goal) for goal in _FAMILY6]
     proved = [res.min_height for res in results if res.is_provable]
-    return fresh, sum(map(distinct, results)), len(eng._heights), (len(proved), sum(proved))
+    exhaustive = engine_class(mode)
+    assert [exhaustive.min_height(goal) for goal in _FAMILY6] == [
+        res.min_height if res.is_provable else None for res in results
+    ]
+    return (
+        fresh, sum(map(distinct, results)), len(eng._heights), len(exhaustive._heights),
+        (len(proved), sum(proved)),
+    )
 
 
 @pytest.mark.parametrize(
-    "mode, fresh, shared, table, heights",
+    "mode, fresh, shared, table, exhausted, heights",
     [
-        ("tennant", 18520, 15164, 9080, (768, 1548)),
-        ("strict-table", 14430, 11651, 7208, (654, 1236)),
+        ("tennant", 16894, 13861, 5680, 9080, (768, 1548)),
+        ("strict-table", 13062, 10947, 5624, 7208, (654, 1236)),
     ],
 )
-def test_split_groups_explore_the_pinned_space(mode, fresh, shared, table, heights):
-    # with the classical filter alone, as listing every premise pair gave
-    # them.  One split group per LOr and LImp principal, with the
-    # principal's bit free, must explore, settle and pair exactly the goals
-    # of both base variants
-    assert _family6_space(_ClassicalOnlyEngine, mode) == (fresh, shared, table, heights)
+def test_split_groups_explore_the_pinned_space(mode, fresh, shared, table, exhausted, heights):
+    # with the classical filter alone.  The exhausted table holds the goals
+    # that listing every premise pair explored and settled: one split group
+    # per LOr and LImp principal, with the principal's bit free, must
+    # explore, settle and pair exactly the goals of both base variants.
+    # `decide` stops each search once the root is certified, so it explores
+    # and stores fewer
+    assert _family6_space(_ClassicalOnlyEngine, mode) == (fresh, shared, table, exhausted, heights)
 
 
 @pytest.mark.parametrize(
-    "mode, fresh, shared, table, heights",
+    "mode, fresh, shared, table, exhausted, heights",
     [
-        ("tennant", 16824, 14047, 8812, (768, 1548)),
-        ("strict-table", 12964, 10705, 6958, (654, 1236)),
+        ("tennant", 15114, 12760, 5384, 8812, (768, 1548)),
+        ("strict-table", 11646, 10010, 5364, 6958, (654, 1236)),
     ],
 )
-def test_connectivity_filter_shrinks_the_pinned_space(mode, fresh, shared, table, heights):
+def test_connectivity_filter_shrinks_the_pinned_space(mode, fresh, shared, table, exhausted, heights):
     # the default engine settles disconnected goals unexplored, so it
     # explores and stores fewer goals and proves the same rows at the same
     # heights
-    assert _family6_space(Engine, mode) == (fresh, shared, table, heights)
+    assert _family6_space(Engine, mode) == (fresh, shared, table, exhausted, heights)
 
 
 def test_unpaired_split_sides_are_not_explored():
@@ -428,6 +441,38 @@ def test_memo_cap_bounds_premise_lookups_within_seconds():
     assert time.perf_counter() - start < 10
 
 
+# -- the stop rule -------------------------------------------------------------
+
+
+def test_decide_stops_once_the_root_is_certified():
+    # the root's height 4 is certified after its third level is expanded;
+    # exploring the whole space first made 20,807 premise lookups
+    goal = S("(~q | p) & (~p & q) |-")
+    stopped = Engine()
+    res = stopped.decide(goal)
+    assert res.min_height == 4 and height(res.derivation) == 4
+    assert res.stats.goals_expanded == 3319
+    # min_height explores to exhaustion and keeps every settled fact
+    exhaustive = Engine()
+    assert exhaustive.min_height(goal) == 4
+    assert len(exhaustive._heights) > len(stopped._heights)
+    assert exhaustive.decide(goal) == Provable(res.derivation, 4, engine.SearchStats(1, 1, 9, "tennant"))
+
+
+@pytest.mark.parametrize("mode", ["tennant", "strict-table"])
+def test_stopped_searches_leave_only_minimal_heights_in_the_memo(mode):
+    # a goal a stopped search settled is in the memo at its minimal height;
+    # one it explored but left unsettled is not in it, never as underivable
+    order = list(_FAMILY6)
+    random.Random(20).shuffle(order)
+    eng = Engine(mode)
+    for goal in order:
+        eng.decide(goal)
+    memo = [(eng._goal_sequent(g), h) for g, h in eng._heights.items()]
+    wrong = [print_sequent(s) for s, h in memo if Engine(mode).min_height(s) != h]
+    assert len(memo) > 5000 and not wrong, wrong[:5]
+
+
 # -- the root step --------------------------------------------------------------
 
 
@@ -437,10 +482,10 @@ class _NoSearchEngine(Engine):
 
     searching = True
 
-    def _solve(self, root):
+    def _solve(self, root, stop):
         if not self.searching:
             raise AssertionError("the query entered _solve")
-        return super()._solve(root)
+        return super()._solve(root, stop)
 
 
 @pytest.mark.parametrize("mode", ["tennant", "strict-table"])
