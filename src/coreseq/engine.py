@@ -59,25 +59,23 @@ smaller key than g's entry; by induction from the derivation's leaves
 (axioms, and goals already settled) they all settle first, and g is
 queued at h' before its entry at h pops.
 
-Stopping.  `decide` settles between levels.  After level L is expanded,
+Stopping.  The search settles between levels.  After level L is expanded,
 every goal of depth at most L has its instances registered, and each
 axiom of depth L + 1 was queued at height 0 when it was discovered.  Take
 an entry of key at most L + 1 for g at height h.  A derivation of g below
 h puts each of its goals at depth at most depth(g) + h - 1 - (its
 height), which is at most L, so every goal the argument above needs is
-expanded, and the entry pops at g's minimal height.  So `decide` settles
-every entry of key at most L + 1 and returns once the root is settled.
-A derivation of height h lies within depth h of its root, so with the
-axioms queued on discovery the root settles after level h - 1.  Every
-goal settled this way enters the memo at its minimal height.  The goals
-a stopped search explored but left unsettled stay out of the memo and
-are never recorded underivable, so a later query explores them again;
-only an emptied frontier settles the remaining goals underivable.  A
-premise of height below a settled goal's settles before it, so
+expanded, and the entry pops at g's minimal height.  So the search
+settles every entry of key at most L + 1 and returns once the root is
+settled.  A derivation of height h lies within depth h of its root, so
+with the axioms queued on discovery the root settles after level h - 1.
+Every goal settled this way enters the memo at its minimal height.  The
+goals a stopped search explored but left unsettled stay out of the memo
+and are never recorded underivable, so a later query explores them
+again; only an emptied frontier settles the remaining goals underivable.
+A premise of height below a settled goal's settles before it, so
 extraction after a stopped search finds the instance it finds after
-exhaustion.  `min_height` does not stop: its callers share one engine
-across a family and reuse every fact exhaustion settles, and stopping
-there too left sweeps searching rows again.
+exhaustion.
 
 `_instances` streams the same groups as pairs, lazily, in the order of the
 3^n product recurrence.  Derivation extraction stops at the first instance
@@ -225,8 +223,8 @@ class SearchStats(_Record):
     already-settled goals it looked up, each once; a root settled before
     the query, classically invalid or disconnected, counts 1 and 1.
     `max_weight_seen` is the largest weight of a goal the search expanded.
-    Only `decide` reports them, and its search stops once the root's
-    minimal height is certified, so they count the search up to there.
+    The search stops once the root's minimal height is certified, so they
+    count the search up to there.
     """
 
     __slots__ = ("goals_expanded", "distinct_goals", "max_weight_seen", "mode")
@@ -463,14 +461,11 @@ class Engine:
 
     def decide(self, goal: Sequent) -> DecisionResult:
         """The goal's derivation and minimal height, or its unprovability,
-        with the search's statistics.  The search stops once the root's
-        minimal height is certified (see the module docstring): the one
-        derivation it returns needs no more of the space.  An underivable
-        root is settled only when the space is exhausted."""
+        with the search's statistics."""
         g = self._intern_goal(goal)
         h = self._settle_root(g)
         if h == _OPEN:
-            lookups, distinct, levels = self._solve(g, True)
+            lookups, distinct, levels = self._solve(g)
             h = self._heights[g]
             maxw = max(self._goal_weight(x) for level in levels for x in level)
             stats = SearchStats(lookups, distinct, maxw, self.mode)
@@ -486,14 +481,11 @@ class Engine:
 
     def min_height(self, goal: Sequent) -> Optional[int]:
         """The goal's minimal height, None when it is underivable.  Reports
-        no statistics, so a root the root step settles costs no search.
-        Unlike `decide`, it explores the whole reachable space before it
-        settles: its callers sweep a family on one engine and reuse every
-        fact exhaustion settles."""
+        no statistics, so a root the root step settles costs no search."""
         g = self._intern_goal(goal)
         h = self._settle_root(g)
         if h == _OPEN:
-            self._solve(g, False)
+            self._solve(g)
             h = self._heights[g]
         return h
 
@@ -727,13 +719,12 @@ class Engine:
             h = settled[g] = None  # classically invalid or disconnected, so underivable
         return h
 
-    def _solve(self, root: tuple, stop: bool) -> tuple[int, int, list[list[tuple]]]:
+    def _solve(self, root: tuple) -> tuple[int, int, list[list[tuple]]]:
         """Explore the goals below an open root (one `_settle_root` left
         open) level by level and settle their minimal heights.
 
-        With `stop`, each expanded level settles every goal it makes exact,
-        and the search returns once the root is settled; without it, the
-        whole reachable space is explored first (see the module docstring).
+        Each expanded level settles every goal it makes exact, and the
+        search returns once the root is settled (see the module docstring).
         Returns the premise lookups made plus one for the root, the distinct
         goals discovered or looked up, and the expanded goals by level.
 
@@ -912,11 +903,10 @@ class Engine:
                         f"one query made more than the cap of {self.memo_cap} premise lookups"
                     )
             d += 1
-            if stop:
-                # every goal of key at most d is now exact
-                settle(d)
-                if root in settled:
-                    return visits, len(touched.union(depth)), levels
+            # every goal of key at most d is now exact
+            settle(d)
+            if root in settled:
+                return visits, len(touched.union(depth)), levels
 
         settle(math.inf)
         # Everything explored but never settled is underivable: the whole
