@@ -9,6 +9,8 @@ Subcommands:
              report; exit 3 on any checker/engine disagreement
     atlas    enumerate a bounded sequent family to CSV with Core and
              intuitionistic verdicts
+    theorems compare Core and intuitionistic theoremhood over every formula
+             up to a weight; exit 1 on any disagreement
 
 JSON goes to standard output, human-readable text to standard error.
 The environment variable CORESEQ_MEMO_CAP overrides the search cap.
@@ -32,7 +34,7 @@ from .admissibility import (
     weakening_transform,
 )
 from .engine import DEFAULT_MEMO_CAP, Engine, Provable, ResourceLimitError
-from .intuitionistic import cross_check, decide_int
+from .intuitionistic import cross_check, decide_int, theoremhood_report
 from .kernel import (
     FIXTURE_NAMES,
     MODES,
@@ -67,6 +69,12 @@ def _memo_cap() -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"invalid CORESEQ_MEMO_CAP {raw!r}") from None
+
+
+def _atoms(count: int) -> tuple[str, ...]:
+    if count < 1 or count > len(_ATOM_SUPPLY):
+        raise ValueError(f"--atoms must be between 1 and {len(_ATOM_SUPPLY)}")
+    return _ATOM_SUPPLY[:count]
 
 
 def _say(msg: str) -> None:
@@ -368,8 +376,7 @@ def _cmd_repro(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
-    if args.atoms < 1 or args.atoms > len(_ATOM_SUPPLY):
-        raise ValueError(f"--atoms must be between 1 and {len(_ATOM_SUPPLY)}")
+    atoms = _atoms(args.atoms)
     if args.out:
         # an unwritable --out fails here, before any search: "a" leaves an
         # existing file as it is, and a file made only to try is removed
@@ -378,7 +385,7 @@ def _cmd_atlas(args) -> int:
         out.open("a").close()
         if not existed:
             out.unlink()
-    universe = formula_universe(_ATOM_SUPPLY[: args.atoms], args.weight_cap)
+    universe = formula_universe(atoms, args.weight_cap)
     cc = cross_check(universe, args.weight_cap, engine=Engine(args.mode, memo_cap=_memo_cap()))
 
     def verdict(ok: bool) -> str:
@@ -403,6 +410,24 @@ def _cmd_atlas(args) -> int:
         f"divergences {len(cc.divergences)}"
     )
     return 0
+
+
+# ---------------------------------------------------------------------------
+# theorems
+
+
+def _cmd_theorems(args) -> int:
+    report = theoremhood_report(
+        _atoms(args.atoms), args.max_weight, engine=Engine(args.mode, memo_cap=_memo_cap())
+    )
+    if args.json:
+        sys.stdout.write(_dump(report.to_json()))
+    _say(
+        f"theorems: {report.total} formulas over {args.atoms} atoms (weight at most "
+        f"{args.max_weight}); core theorems {report.core_theorems}, intuitionistic theorems "
+        f"{report.int_theorems}, disagreements {len(report.disagreements)}"
+    )
+    return 1 if report.disagreements else 0
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +464,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--mode", choices=MODES, default=MODES[0])
     p.set_defaults(func=_cmd_atlas)
+
+    p = sub.add_parser("theorems", help="compare Core and intuitionistic theoremhood")
+    p.add_argument("--atoms", type=int, required=True)
+    p.add_argument("--max-weight", type=int, required=True)
+    p.add_argument("--mode", choices=MODES, default=MODES[0])
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_theorems)
 
     return parser
 

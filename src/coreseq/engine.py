@@ -45,7 +45,8 @@ side plus the pairs whose sides both settle, where listing the pairs
 would build and look up 3^n of them (times the combos).
 
 Search order.  The search explores breadth first, level by level, and
-records each goal's depth when it first discovers it (the root's is 0).
+records each goal's depth when it first discovers it (the root's is 0);
+a level's goals are expanded in the order they were discovered.
 The heap holds (height + depth, height, goal) entries, and popping them
 in that order is exact: Knuth's argument, with the depth as a potential.
 Keys never fall: settling a goal at height h queues a conclusion at a
@@ -59,28 +60,57 @@ smaller key than g's entry; by induction from the derivation's leaves
 (axioms, and goals already settled) they all settle first, and g is
 queued at h' before its entry at h pops.
 
-Stopping.  The search settles between levels.  After level L is expanded,
-every goal of depth at most L has its instances registered, and each
-axiom of depth L + 1 was queued at height 0 when it was discovered.  Take
-an entry of key at most L + 1 for g at height h.  A derivation of g below
-h puts each of its goals at depth at most depth(g) + h - 1 - (its
-height), which is at most L, so every goal the argument above needs is
-expanded, and the entry pops at g's minimal height.  So the search
-settles every entry of key at most L + 1 and returns once the root is
-settled.  A derivation of height h lies within depth h of its root, so
-with the axioms queued on discovery the root settles after level h - 1.
-Every goal settled this way enters the memo at its minimal height.  The
-goals a stopped search explored but left unsettled stay out of the memo
-and are never recorded underivable, so a later query explores them
-again; only an emptied frontier settles the remaining goals underivable.
-A premise of height below a settled goal's settles before it, so
-extraction after a stopped search finds the instance it finds after
-exhaustion.
+Stopping.  The search settles inside a level.  Suppose every entry of key
+at most L is settled once level L - 1 is expanded.  Then a goal still
+unsettled at depth d has minimal height at least L + 1 - d: a derivation
+of height h' <= L - d has its inner goals at depth at most d + h' - 1,
+which is at most L - 1, so all expanded, and each of its goals at a key
+at most L, so by the argument above it would have settled.  While level
+L is expanded an entry of key L + 1 for g is at height L + 1 - depth(g),
+no more than g's minimal height, so it is exact the moment it is queued,
+and so is every entry of key L + 1 that settling it queues.  So after
+each goal of level L is expanded the search settles every entry of key
+at most L + 1, and it returns as soon as the root is settled.  Once the
+whole level is expanded every entry of key at most L + 1 has been queued
+(each axiom of depth L + 1 at height 0 when it was discovered) and
+settled, which carries the supposition to L + 1.  A derivation of height
+h lies within depth h of its root, so the root settles while level h - 1
+is expanded at the latest.  Every goal settled this way enters the memo
+at its minimal height.  The goals a stopped search explored but left
+unsettled stay out of the memo and are never recorded underivable, so a
+later query explores them again; only an emptied frontier settles the
+remaining goals underivable.
+
+Extraction.  A derivation's last step is the first instance in generation
+order whose premises' minimal heights realise the goal's height h,
+whatever the memo holds.  Stopping inside a level can leave a premise of
+minimal height h - 1 open: a goal settled at key L + 1 may have a premise
+one level below it whose derivation needs a goal of level L that was not
+yet expanded, and such a goal reaches later queries through the memo.
+But an open premise of a settled goal always has minimal height at least
+h - 1: the goal settled at key L + 1 at most, while level L was
+expanded, and the premise lies at most one level below it, so the bound
+above holds for it.  So extraction decides each open premise of an
+instance whose settled premises are all below h, and only those.  A
+search that has expanded d whole levels has settled every goal of key at
+most d, so a goal it explored and left unsettled at depth k has minimal
+height above d - k; the engine keeps that bound as the goal's floor.  An
+open goal is never an axiom, since a search settles each axiom it
+discovers at once, so its floor is at least 0.  When extraction meets an
+open premise, the query's own stopped searches first expand the rest of
+their levels.  Then every premise of a goal they settled is settled or
+has a floor of at least h - 1, so it does not realise h.  A premise with
+a lower floor, below a goal an earlier query settled, is decided by a
+search from it that gives up after h - 1 levels: that search settles it
+exactly when its minimal height is h - 1, and otherwise leaves it a
+floor of h - 1.  Floors are facts about minimal heights, so like the
+memo they serve later queries.  All of this belongs to the query: it
+counts in its statistics and against its cap.  `min_height` never
+extracts.
 
 `_instances` streams the same groups as pairs, lazily, in the order of the
-3^n product recurrence.  Derivation extraction stops at the first instance
-whose settled premises realise the goal's height; `backward_instances`
-lists every instance once.
+3^n product recurrence, which is the generation order extraction reads;
+`backward_instances` lists every instance once.
 
 Classical filter.  Each interned formula carries its classical truth
 table: an int with one bit per valuation of the engine's atoms, built from
@@ -215,16 +245,19 @@ class ResourceLimitError(RuntimeError):
 class SearchStats(_Record):
     """Effort of one query.
 
-    `goals_expanded` counts the premise lookups the search made (one per
+    `goals_expanded` counts the premise lookups the query made (one per
     side premise of a split group, not one per premise pair; a group
     (rule, principal, succedent combo) serves both the discharged and the
-    retained variant of LOr and LImp), plus one for the root.
+    retained variant of LOr and LImp), plus one for the root and one for
+    each premise that derivation extraction had to search.
     `distinct_goals` counts the goals the query discovered plus the
     already-settled goals it looked up, each once; a root settled before
     the query, classically invalid or disconnected, counts 1 and 1.
-    `max_weight_seen` is the largest weight of a goal the search expanded.
-    The search stops once the root's minimal height is certified, so they
-    count the search up to there.
+    `max_weight_seen` is the largest weight of a goal the query's searches
+    expanded, or the root's when they expanded none.  The search stops as
+    soon as the root's minimal height is certified, inside a level, and
+    extraction searches only premises the memo leaves open, so they count
+    the query's work up to there (see the module docstring).
     """
 
     __slots__ = ("goals_expanded", "distinct_goals", "max_weight_seen", "mode")
@@ -305,6 +338,23 @@ _set_disconnected = Unprovable.disconnected.__set__
 
 
 DecisionResult = Union[Provable, Unprovable]
+
+
+class _Effort:
+    """One query's effort so far, summed over its searches: the premise
+    lookups made, one for the root included, the goals discovered or
+    looked up, and the goals expanded (see `SearchStats`), with the
+    searches that stopped inside a level."""
+
+    __slots__ = ("lookups", "goals", "expanded", "unfinished")
+
+    def __init__(self, root: tuple):
+        self.lookups = 1
+        self.goals = {root}
+        self.expanded: list[tuple] = []
+        # each search paused inside a level, which extraction may yet
+        # need to finish (see `Engine._solve`)
+        self.unfinished: list = []
 
 
 class _FormulaTable:
@@ -456,32 +506,53 @@ class Engine:
         self.memo_cap = memo_cap
         self._t = _FormulaTable()
         self._heights: dict[tuple, Optional[int]] = {}
+        # goal no search has settled -> a height its minimal height is
+        # known to exceed; only searches that extraction resumes or runs
+        # record these, and only extraction reads them
+        self._floors: dict[tuple, int] = {}
 
     # -- public API --
 
     def decide(self, goal: Sequent) -> DecisionResult:
         """The goal's derivation and minimal height, or its unprovability,
-        with the search's statistics."""
+        with the query's statistics.
+
+        The search stops as soon as the root's minimal height is certified,
+        and the derivation is the canonical one, which depends only on the
+        goal: at each node, the first instance in generation order whose
+        premises' minimal heights realise the node's height.  Premises the
+        memo leaves open are decided by searches limited to that height.
+        """
         g = self._intern_goal(goal)
         h = self._settle_root(g)
-        if h == _OPEN:
-            lookups, distinct, levels = self._solve(g)
-            h = self._heights[g]
-            maxw = max(self._goal_weight(x) for level in levels for x in level)
-            stats = SearchStats(lookups, distinct, maxw, self.mode)
-        else:
-            stats = SearchStats(1, 1, self._goal_weight(g), self.mode)
         if h is None:
-            cv = self._countervaluation(g)
-            return Unprovable(stats, cv, cv is None and self._disconnected(g))
-        return Provable(self._extract(g), h, stats)
+            return self._refuted(g, SearchStats(1, 1, self._goal_weight(g), self.mode))
+        effort = self._solve(g) if h == _OPEN else _Effort(g)
+        h = self._heights[g]
+        derivation = None if h is None else self._extract(g, effort)
+        stats = SearchStats(
+            effort.lookups,
+            len(effort.goals),
+            max(map(self._goal_weight, effort.expanded or (g,))),
+            self.mode,
+        )
+        if derivation is None:
+            return self._refuted(g, stats)
+        return Provable(derivation, h, stats)
+
+    def _refuted(self, g: tuple, stats: SearchStats) -> Unprovable:
+        cv = self._countervaluation(g)
+        return Unprovable(stats, cv, cv is None and self._disconnected(g))
 
     def is_provable(self, goal: Sequent) -> bool:
         return self.min_height(goal) is not None
 
     def min_height(self, goal: Sequent) -> Optional[int]:
-        """The goal's minimal height, None when it is underivable.  Reports
-        no statistics, so a root the root step settles costs no search."""
+        """The goal's minimal height, None when it is underivable.
+
+        Its search stops as soon as the root's minimal height is certified,
+        inside a level, and it never extracts a derivation.  It reports no
+        statistics, so a root the root step settles costs no search."""
         g = self._intern_goal(goal)
         h = self._settle_root(g)
         if h == _OPEN:
@@ -499,7 +570,7 @@ class Engine:
         succ = _ABSURD if s.succedent is None else t.intern(s.succedent)
         if held and not t.full:
             # earlier goals' atoms took the tables off: start over
-            self._t, self._heights = _FormulaTable(), {}
+            self._t, self._heights, self._floors = _FormulaTable(), {}, {}
             return self._intern_goal(s)
         return (ants, succ)
 
@@ -719,14 +790,43 @@ class Engine:
             h = settled[g] = None  # classically invalid or disconnected, so underivable
         return h
 
-    def _solve(self, root: tuple) -> tuple[int, int, list[list[tuple]]]:
-        """Explore the goals below an open root (one `_settle_root` left
-        open) level by level and settle their minimal heights.
+    def _solve(self, root: tuple, effort: Optional[_Effort] = None, levels: Optional[int] = None) -> _Effort:
+        """Search below an open root (one `_settle_root` left open) and
+        return the query's effort, which the search adds to: `effort` is
+        the effort so far of the query that runs it, a new one for its
+        first search.
 
-        Each expanded level settles every goal it makes exact, and the
-        search returns once the root is settled (see the module docstring).
-        Returns the premise lookups made plus one for the root, the distinct
-        goals discovered or looked up, and the expanded goals by level.
+        The search returns as soon as the root is settled, inside a level
+        (see the module docstring), and leaves itself paused in
+        `effort.unfinished`, for extraction to finish that level.  With
+        `levels`, which only extraction passes, it gives up once that many
+        levels are expanded; it has then settled the root exactly when the
+        root's minimal height is at most `levels`.
+        """
+        if effort is None:
+            effort = _Effort(root)
+        search = self._search(root, levels, effort.lookups, effort.goals, effort.expanded)
+        effort.lookups, stopped = next(search)
+        if stopped:
+            effort.unfinished.append(search)
+        else:
+            next(search, None)  # let it return
+        return effort
+
+    def _search(self, root: tuple, levels: Optional[int], visits: int, touched: set, expanded: list):
+        """Explore the goals below the root level by level and settle their
+        minimal heights; a generator, so that a stopped search can finish
+        its level.
+
+        After each goal of level d is expanded, every queued goal of key at
+        most d + 1 is exact and settles.  The search yields the query's
+        premise lookups so far (`visits` before it) and whether it stopped
+        inside a level, once the root is settled or the search is over.
+        Resumed with the query's count after stopping, it expands the rest
+        of the level and yields the count again.  Goals it discovers or
+        looks up go into `touched`, and the goals it expands into
+        `expanded`.  A search that finishes its level or gives up records a
+        floor for each goal it explored and left unsettled.
 
         One-premise instances wait on their premise.  A split rule is a join
         of two sides (see the module docstring): `settle_side` is the one
@@ -735,12 +835,11 @@ class Engine:
         """
         settled = self._heights
         failing_rows, disconnected = self._failing_rows, self._disconnected
-        visits = 1
+        cap = self.memo_cap
 
         # entries (height + depth, height, goal), popped in that order
         heap: list[tuple[int, int, tuple]] = []
         depth: dict[tuple, int] = {}  # explored goal -> level it was discovered at
-        touched: set[tuple] = set()
         # premise -> (conclusion, its depth) of the one-premise instances
         # waiting on it
         waiting: dict[tuple, list[tuple[tuple, int]]] = {}
@@ -875,13 +974,23 @@ class Engine:
                     if grp[0] not in settled:
                         settle_side(grp, side, m, h)
 
+        def record_floors(done: int) -> None:
+            """With `done` whole levels expanded, a goal still unsettled at
+            depth k has minimal height above done - k.  Floors of 0 are left
+            out: a search settles each axiom it discovers at once, so a goal
+            that stays open is never an axiom."""
+            floors = self._floors
+            for g, k in depth.items():
+                if k < done and g not in settled and floors.get(g, 0) < done - k:
+                    floors[g] = done - k
+
         discover(root, 0)
-        levels = []
         d = 0
         while fresh:
             level, fresh = fresh, []
-            levels.append(level)
+            stopped = False
             for g in level:
+                expanded.append(g)
                 blocks = self._blocks(g)
                 for rule in _ONE_PREMISE_RULES:
                     for (p,) in blocks[rule]:
@@ -898,39 +1007,84 @@ class Engine:
                         for lefts, rights in groups:
                             visits += open_group(g, free, lefts, rights)
                 # every explored goal is looked up, so this bounds them too
-                if visits > self.memo_cap:
+                if visits > cap:
                     raise ResourceLimitError(
-                        f"one query made more than the cap of {self.memo_cap} premise lookups"
+                        f"one query made more than the cap of {cap} premise lookups"
                     )
+                # every queued goal of key at most d + 1 is now exact
+                if heap and heap[0][0] <= d + 1:
+                    settle(d + 1)
+                if not stopped and root in settled:
+                    touched.update(depth)
+                    visits = yield visits, True
+                    stopped = True
             d += 1
-            # every goal of key at most d is now exact
-            settle(d)
-            if root in settled:
-                return visits, len(touched.union(depth)), levels
+            if stopped or d == levels:
+                record_floors(d)
+                break
+        else:
+            settle(math.inf)
+            # Everything explored but never settled is underivable: the
+            # whole finite space below it has been exhausted.
+            for g in depth:
+                if g not in settled:
+                    settled[g] = None
+        touched.update(depth)
+        yield visits, False
 
-        settle(math.inf)
-        # Everything explored but never settled is underivable: the whole
-        # finite space below it has been exhausted.
-        for g in depth:
-            if g not in settled:
-                settled[g] = None
-        return visits, len(touched.union(depth)), levels
+    def _extract(self, g: tuple, effort: _Effort) -> Derivation:
+        """The derivation of a goal settled provable at height h: the first
+        instance in generation order whose premises' minimal heights
+        realise h, whatever the memo holds.
 
-    def _extract(self, g: tuple) -> Derivation:
-        settled = self._heights
+        h is minimal, so an instance realises it exactly when its premises
+        are all derivable below h.  A premise no search has settled has
+        minimal height at least h - 1 (see the module docstring), and one
+        whose floor is h - 1 or more does not realise h; on an instance
+        whose settled premises are all below h, `_open_below` decides the
+        other open ones.
+        """
+        settled, floors = self._heights, self._floors
         h = settled[g]
-        # the first instance whose settled premises realise h
         for rule, prems in self._instances(g):
-            heights = [settled.get(p) for p in prems]
-            if None not in heights and (1 + max(heights) if heights else 0) == h:
+            known = [settled.get(p, _OPEN) for p in prems]
+            if None in known or (known and max(known) >= h):
+                continue
+            for p, hp in zip(prems, known):
+                if hp == _OPEN and not (floors.get(p, 0) < h - 1 and self._open_below(p, h, effort)):
+                    break
+            else:
                 return Derivation(
                     self._goal_sequent(g),
                     RULE_NAMES[rule],
-                    tuple(self._extract(p) for p in prems),
+                    tuple(self._extract(p, effort) for p in prems),
                 )
         raise AssertionError(
             f"no rule instance realises height {h} for {print_sequent(self._goal_sequent(g))}"
         )
+
+    def _open_below(self, p: tuple, h: int, effort: _Effort) -> bool:
+        """Whether a premise p of a goal settled at height h, which no
+        search had settled and so has minimal height at least h - 1, has
+        minimal height h - 1.
+
+        First the query's searches that stopped inside a level finish it,
+        which settles p or gives it a floor of h - 1 when a goal they
+        settled needs it.  Only if p is still open below that floor does a
+        search from p, limited to h - 1 levels, decide it.
+        """
+        settled = self._heights
+        unfinished = effort.unfinished
+        while unfinished:
+            search = unfinished.pop()
+            effort.lookups, _ = search.send(effort.lookups)
+            next(search, None)  # let it return
+        hp = settled.get(p, _OPEN)
+        if hp == _OPEN and self._floors.get(p, 0) < h - 1:
+            effort.lookups += 1
+            self._solve(p, effort, h - 1)
+            hp = settled.get(p, _OPEN)
+        return hp != _OPEN and hp is not None and hp < h
 
 
 def backward_instances(goal: Sequent, mode: str = MODES[0]) -> list[tuple[str, tuple[Sequent, ...]]]:

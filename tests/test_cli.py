@@ -16,6 +16,7 @@ from coreseq import (
     load_derivation,
     parse_sequent,
     print_sequent,
+    theoremhood_report,
 )
 from coreseq import cli
 from coreseq.cli import main
@@ -401,6 +402,52 @@ def test_failed_atlas_writes_nothing(capsys, monkeypatch, tmp_path):
         assert "resource limit" in err
     assert not fresh.exists()
     assert old.read_text(encoding="utf-8") == "kept\n"
+
+
+# -- theorems -------------------------------------------------------------------
+
+
+def test_theorems_prints_the_report_and_a_summary(capsys):
+    code, out, err = run(capsys, "theorems", "--atoms", "2", "--max-weight", "6", "--json")
+    assert code == 0
+    report = theoremhood_report(["p", "q"], 6)
+    assert json.loads(out) == report.to_json()
+    assert report.disagreements == [] and report.core_theorems > 0
+    assert err == (
+        f"theorems: {report.total} formulas over 2 atoms (weight at most 6); "
+        f"core theorems {report.core_theorems}, intuitionistic theorems {report.int_theorems}, "
+        "disagreements 0\n"
+    )
+
+
+def test_theorems_exits_1_on_a_disagreement(capsys):
+    # without LAnd under the absurdity marker, ~(p & ~p) is no Core theorem
+    code, out, err = run(
+        capsys, "theorems", "--atoms", "2", "--max-weight", "6", "--mode", "strict-table", "--json"
+    )
+    assert code == 1
+    report = theoremhood_report(["p", "q"], 6, engine=Engine("strict-table"))
+    assert json.loads(out) == report.to_json()
+    assert "~(p & ~p)" in json.loads(out)["disagreements"]
+    assert err.endswith(f"disagreements {len(report.disagreements)}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["theorems", "--atoms", "2", "--max-weight", "6"], "5", "resource limit"),
+        (["theorems", "--atoms", "2", "--max-weight", "6"], "abc", "invalid CORESEQ_MEMO_CAP 'abc'"),
+        (["theorems", "--atoms", "9", "--max-weight", "2"], None, "--atoms must be between 1 and 8"),
+    ],
+    ids=["memo-cap", "bad-memo-cap", "atoms"],
+)
+def test_theorems_errors_exit_2(capsys, monkeypatch, argv, env, message):
+    if env is not None:
+        monkeypatch.setenv("CORESEQ_MEMO_CAP", env)
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 2
+    assert message in json.loads(out)["error"]
+    assert err.startswith("coreseq: ") and message in err and len(err.splitlines()) == 1
 
 
 # -- errors outside the query ----------------------------------------------------

@@ -311,8 +311,8 @@ def _family6_space(engine_class, mode):
 @pytest.mark.parametrize(
     "mode, fresh, shared, table, heights",
     [
-        ("tennant", 16894, 13861, 5680, (768, 1548)),
-        ("strict-table", 13062, 10947, 5624, (654, 1236)),
+        ("tennant", 14536, 12433, 5666, (768, 1548)),
+        ("strict-table", 12170, 10567, 5614, (654, 1236)),
     ],
 )
 def test_split_groups_explore_the_pinned_space(mode, fresh, shared, table, heights):
@@ -325,8 +325,8 @@ def test_split_groups_explore_the_pinned_space(mode, fresh, shared, table, heigh
 @pytest.mark.parametrize(
     "mode, fresh, shared, table, heights",
     [
-        ("tennant", 15114, 12760, 5384, (768, 1548)),
-        ("strict-table", 11646, 10010, 5364, (654, 1236)),
+        ("tennant", 12838, 11332, 5364, (768, 1548)),
+        ("strict-table", 10772, 9630, 5354, (654, 1236)),
     ],
 )
 def test_connectivity_filter_shrinks_the_pinned_space(mode, fresh, shared, table, heights):
@@ -440,17 +440,22 @@ def test_memo_cap_bounds_premise_lookups_within_seconds():
 
 
 def test_decide_stops_once_the_root_is_certified():
-    # the root's height 4 is certified after its third level is expanded;
-    # exploring the whole space first made 20,807 premise lookups
+    # the root's height 4 is certified partway through level 3 (the root
+    # is level 0), after 699 premise lookups; extraction needs the rest of
+    # that level, which brings decide to 3,319.  Exploring the whole space
+    # first made 20,807
     goal = S("(~q | p) & (~p & q) |-")
     stopped = Engine()
     res = stopped.decide(goal)
     assert res.min_height == 4 and height(res.derivation) == 4
     assert res.stats.goals_expanded == 3319
-    # min_height stops by the same rule and keeps the same facts
+    assert stopped.decide(goal) == Provable(res.derivation, 4, engine.SearchStats(1, 1, 9, "tennant"))
+    # min_height stops by the same rule and never extracts, so it keeps
+    # fewer facts, and a later decide searches the premises it left open
     swept = Engine()
     assert swept.min_height(goal) == 4
-    assert len(swept._heights) == len(stopped._heights) == 59
+    assert (len(swept._heights), len(stopped._heights)) == (39, 59)
+    assert swept.decide(goal) == Provable(res.derivation, 4, engine.SearchStats(75, 35, 8, "tennant"))
     assert swept.decide(goal) == Provable(res.derivation, 4, engine.SearchStats(1, 1, 9, "tennant"))
 
 
@@ -467,6 +472,95 @@ def test_stopped_searches_leave_only_minimal_heights_in_the_memo(mode, query):
     memo = [(eng._goal_sequent(g), h) for g, h in eng._heights.items()]
     wrong = [print_sequent(s) for s, h in memo if Engine(mode).min_height(s) != h]
     assert len(memo) > 5000 and not wrong, wrong[:5]
+
+
+@pytest.mark.parametrize("mode", ["tennant", "strict-table"])
+def test_floors_bound_minimal_heights_from_below(mode):
+    # extraction keeps, for a premise it found open and bounded, a height
+    # the premise's minimal height exceeds; over queries like the
+    # benchmark's, some in the memo of others
+    eng = Engine(mode)
+    for i, goal in enumerate(_decide_draws(11, 3000)):
+        if i % 3:
+            eng.decide(goal)
+        else:
+            eng.min_height(goal)
+    heights = Engine(mode)
+    floors = [
+        (heights.min_height(eng._goal_sequent(g)), f)
+        for g, f in eng._floors.items()
+        if g not in eng._heights
+    ]
+    assert all(h is None or h > f for h, f in floors)
+    # some are tight, so a floor one higher would be wrong
+    assert len(floors) > 20 and any(h == f + 1 for h, f in floors)
+
+
+def _assert_canonical(derivation, mode, heights):
+    """At every node, the rule and premises are the first instance in
+    generation order whose premises' minimal heights realise the node's;
+    `heights` supplies minimal heights, which never depend on history."""
+    todo = [derivation]
+    while todo:
+        node = todo.pop()
+        h = heights.min_height(node.conclusion)
+        assert height(node) == h, print_sequent(node.conclusion)
+        for rule, prems in backward_instances(node.conclusion, mode):
+            hs = [heights.min_height(p) for p in prems]
+            if None not in hs and (1 + max(hs) if hs else 0) == h:
+                break
+        assert (node.rule, tuple(p.conclusion for p in node.premises)) == (rule, prems), (
+            print_sequent(node.conclusion)
+        )
+        todo.extend(node.premises)
+
+
+@pytest.mark.parametrize("mode", ["tennant", "strict-table"])
+def test_extraction_depends_only_on_the_goal(mode):
+    # a search stops inside a level, so the memo may hold goals whose
+    # premises of height one less are still open; extraction must still
+    # give the derivation a fresh engine gives, whatever the engine
+    # answered before: a sweep of the family in shuffled order, queries
+    # like the benchmark's, or min_height on the goal itself
+    order = list(_FAMILY6)
+    random.Random(22).shuffle(order)
+    swept = Engine(mode)
+    for goal in order:
+        swept.min_height(goal)
+    drawn = Engine(mode)
+    for goal in _decide_draws(23, 400):
+        drawn.min_height(goal)
+    heights = Engine(mode)
+    provable = 0
+    for goal in _FAMILY6:
+        res = Engine(mode).decide(goal)
+        if not res.is_provable:
+            continue
+        provable += 1
+        own = Engine(mode)
+        assert own.min_height(goal) == res.min_height
+        for eng in (swept, drawn, own):
+            assert eng.decide(goal).derivation == res.derivation, print_sequent(goal)
+        _assert_canonical(res.derivation, mode, heights)
+    assert provable == {"tennant": 768, "strict-table": 654}[mode]
+
+
+@pytest.mark.parametrize("mode", ["tennant", "strict-table"])
+@pytest.mark.parametrize("text", [
+    "|- q | q -> ~q -> q",
+    "|- q | ~~q -> ~~q",
+    "|- p | p -> q | p -> p",
+])
+def test_min_height_then_decide_gives_the_fresh_derivation(text, mode):
+    # finishing the stopped level only when extraction needs it gave other
+    # derivations for these goals once min_height had run on the engine
+    goal = S(text)
+    fresh = Engine(mode).decide(goal)
+    eng = Engine(mode)
+    assert eng.min_height(goal) == fresh.min_height
+    res = eng.decide(goal)
+    assert (res.derivation, res.min_height) == (fresh.derivation, fresh.min_height)
+    _assert_canonical(res.derivation, mode, Engine(mode))
 
 
 # -- the root step --------------------------------------------------------------
@@ -885,6 +979,9 @@ def test_primed_engine_answers_as_a_fresh_one(mode):
     "p -> q, q -> r |- p -> r",
     "p -> q, q -> p, p | q |- p & q",
     "(p -> q) -> p |- p",
+    "|- (p -> p) -> p -> p",
+    # extraction expands the rest of the level the search stopped in
+    "(~q | p) & (~p & q) |-",
 ])
 def test_memo_cap_boundary_is_the_fresh_lookup_count(text):
     goal = S(text)
@@ -895,6 +992,30 @@ def test_memo_cap_boundary_is_the_fresh_lookup_count(text):
         with pytest.raises(ResourceLimitError):
             make(memo_cap=n - 1).decide(goal)
         assert make(memo_cap=n).decide(goal) == res
+
+
+def _min_height_primed(goal, memo_cap):
+    eng = Engine()
+    assert eng.min_height(goal) is not None
+    eng.memo_cap = memo_cap
+    return eng
+
+
+@pytest.mark.parametrize("text, lookups", [
+    ("(~q | p) & (~p & q) |-", 75),
+    ("|- q | ~~q -> ~~q", 88),
+])
+def test_memo_cap_counts_extraction_searches(text, lookups):
+    # after min_height the root is in the memo, and extraction searches the
+    # premises that min_height's stopped search left open: those lookups
+    # are the query's, counted and capped like its search's
+    goal = S(text)
+    res = _min_height_primed(goal, engine.DEFAULT_MEMO_CAP).decide(goal)
+    assert res.stats.goals_expanded == lookups
+    assert res.derivation == Engine().decide(goal).derivation
+    with pytest.raises(ResourceLimitError):
+        _min_height_primed(goal, lookups - 1).decide(goal)
+    assert _min_height_primed(goal, lookups).decide(goal) == res
 
 
 # -- provable_subsequents ----------------------------------------------------
