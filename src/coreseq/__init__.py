@@ -29,6 +29,7 @@ from .syntax import (
 from .kernel import (
     Derivation,
     RULE_NAMES,
+    ResourceLimitError,
     Violation,
     check_derivation,
     check_rule,
@@ -44,28 +45,26 @@ from .engine import (
     DecisionResult,
     Engine,
     Provable,
-    ResourceLimitError,
     SearchStats,
     Unprovable,
     decide,
-    forward_closure,
-    provable_subsequents,
 )
+from .closure import forward_closure
 from .intuitionistic import (
-    CrossCheckReport,
     IntProver,
     KripkeModel,
     countermodel,
-    cross_check,
     decide_int,
-    theoremhood_report,
 )
 from .admissibility import (
     AdmissibilityVerdict,
+    CrossCheckReport,
     RuleTransform,
+    cross_check,
     identity_transform,
     l_top_transform,
     test_admissibility,
+    theoremhood_report,
     top_equivalence_study,
     weakening_transform,
 )

@@ -12,20 +12,26 @@ bounded family, the verdict is:
                     no greater than its premise's (only "within bound").
 
 Verdicts carry re-checkable witnesses, minimal-weight first.
+
+`cross_check` and `theoremhood_report` compare the Core engine with the
+intuitionistic oracle over a bounded family.  This module is where the
+two meet: neither oracle imports the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .engine import Engine
+from .intuitionistic import IntProver
 from .syntax import (
     And,
     Atom,
     Formula,
     Sequent,
     formula_key,
+    formula_universe,
     print_formula,
     print_sequent,
     sequent_family,
@@ -237,3 +243,131 @@ def top_equivalence_study(delta: Formula, top: Formula, *, engine: Optional[Engi
         set_form=query(Sequent((top, delta), delta)),
         mode=eng.mode,
     )
+
+
+# ---------------------------------------------------------------------------
+# Core against the intuitionistic oracle
+
+
+def _compare(goals: Iterable[Sequent], engine: Engine, prover: IntProver) -> Iterator[tuple[Sequent, Optional[int], bool]]:
+    """Each goal, in order, with its Core minimal height (None when
+    underivable) and its intuitionistic verdict."""
+    for s in goals:
+        yield s, engine.min_height(s), prover.decide(s)
+
+
+@dataclass
+class CrossCheckReport:
+    universe_size: int
+    weight_cap: int
+    mode: str
+    total: int
+    core_provable: int
+    int_provable: int
+    violations: list[Sequent] = field(default_factory=list)
+    divergences: list[Sequent] = field(default_factory=list)
+    empty_antecedent_total: int = 0
+    theorem_disagreements: list[Sequent] = field(default_factory=list)
+    # (sequent, Core minimal height or None, intuitionistic verdict) per
+    # family member, in family order; not part of the JSON form
+    rows: list[tuple[Sequent, Optional[int], bool]] = field(default_factory=list, repr=False)
+
+    def to_json(self) -> dict:
+        return {
+            "universe_size": self.universe_size,
+            "weight_cap": self.weight_cap,
+            "mode": self.mode,
+            "total": self.total,
+            "core_provable": self.core_provable,
+            "int_provable": self.int_provable,
+            "violations": [print_sequent(s) for s in self.violations],
+            "divergences": [print_sequent(s) for s in self.divergences],
+            "empty_antecedent_total": self.empty_antecedent_total,
+            "theorem_disagreements": [print_sequent(s) for s in self.theorem_disagreements],
+        }
+
+
+def cross_check(
+    universe: Iterable[Formula],
+    weight_cap: int,
+    *,
+    engine: Optional[Engine] = None,
+    prover: Optional[IntProver] = None,
+) -> CrossCheckReport:
+    """Compare Core and intuitionistic derivability over a bounded family.
+
+    Core-provable must imply intuitionistically provable (any violation is
+    a hard failure for the caller to enforce); the divergence list holds
+    the intuitionistically provable sequents Core rejects.  Empty-antecedent
+    sequents are additionally held to exact agreement.
+    """
+    eng = engine or Engine()
+    pool = list(universe)
+    rows = list(_compare(sequent_family(pool, weight_cap), eng, prover or IntProver()))
+    report = CrossCheckReport(
+        universe_size=len(set(pool)),
+        weight_cap=weight_cap,
+        mode=eng.mode,
+        total=len(rows),
+        core_provable=sum(h is not None for _, h, _ in rows),
+        int_provable=sum(int_ok for _, _, int_ok in rows),
+        rows=rows,
+    )
+    for s, h, int_ok in rows:
+        core_ok = h is not None
+        if core_ok and not int_ok:
+            report.violations.append(s)
+        if int_ok and not core_ok:
+            report.divergences.append(s)
+        if not s.antecedent:
+            report.empty_antecedent_total += 1
+            if core_ok != int_ok:
+                report.theorem_disagreements.append(s)
+    return report
+
+
+@dataclass
+class TheoremhoodReport:
+    atoms: tuple[str, ...]
+    max_weight: int
+    mode: str
+    total: int
+    core_theorems: int
+    int_theorems: int
+    disagreements: list[Formula] = field(default_factory=list)
+
+    def to_json(self) -> dict:
+        return {
+            "atoms": list(self.atoms),
+            "max_weight": self.max_weight,
+            "mode": self.mode,
+            "total": self.total,
+            "core_theorems": self.core_theorems,
+            "int_theorems": self.int_theorems,
+            "disagreements": [print_formula(f) for f in self.disagreements],
+        }
+
+
+def theoremhood_report(
+    atoms: Iterable[str],
+    max_weight: int,
+    *,
+    engine: Optional[Engine] = None,
+    prover: Optional[IntProver] = None,
+) -> TheoremhoodReport:
+    """Exhaustive comparison of Core and intuitionistic theoremhood.
+
+    Enumerates every empty-antecedent sequent over the given atoms up to
+    the formula weight bound and records any disagreement.
+    """
+    names = tuple(sorted(set(atoms)))
+    eng = engine or Engine()
+    pool = formula_universe(names, max_weight)
+    report = TheoremhoodReport(names, max_weight, eng.mode, len(pool), 0, 0)
+    for s, h, int_ok in _compare((Sequent((), f) for f in pool), eng, prover or IntProver()):
+        core_ok = h is not None
+        report.core_theorems += core_ok
+        report.int_theorems += int_ok
+        if core_ok != int_ok:
+            report.disagreements.append(s.succedent)
+    return report

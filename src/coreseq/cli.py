@@ -28,17 +28,20 @@ from pathlib import Path
 
 from . import __version__
 from .admissibility import (
+    cross_check,
     l_top_transform,
     test_admissibility,
+    theoremhood_report,
     top_equivalence_study,
     weakening_transform,
 )
-from .engine import DEFAULT_MEMO_CAP, Engine, Provable, ResourceLimitError
-from .intuitionistic import cross_check, decide_int, theoremhood_report
+from .engine import DEFAULT_MEMO_CAP, Engine, Provable
+from .intuitionistic import decide_int
 from .kernel import (
     FIXTURE_NAMES,
     MODES,
     RULE_NAMES,
+    ResourceLimitError,
     check_derivation,
     check_rule,
     derivation_to_json,
@@ -77,6 +80,12 @@ def _atoms(count: int) -> tuple[str, ...]:
     return _ATOM_SUPPLY[:count]
 
 
+def _check_weight(option: str, bound: int) -> None:
+    # an atom weighs 1, so a lower bound admits no formula at all
+    if bound < 1:
+        raise ValueError(f"{option} must be at least 1")
+
+
 def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -110,15 +119,16 @@ def _decision_json(result) -> dict:
 def _cmd_decide(args) -> int:
     goal = parse_sequent(args.sequent)
     if args.logic == "int":
-        if args.emit_derivation:
-            raise ValueError("--emit-derivation is only available for core logic")
+        for option, value in (("--mode", args.mode), ("--emit-derivation", args.emit_derivation)):
+            if value is not None:
+                raise ValueError(f"{option} is only available for core logic")
         ok = decide_int(goal)
         if args.json:
             sys.stdout.write(_dump({"status": "provable" if ok else "unprovable", "logic": "int"}))
         _say(f"{print_sequent(goal)}: {'intuitionistically provable' if ok else 'intuitionistically unprovable'}")
         return 0 if ok else 1
 
-    result = Engine(args.mode, memo_cap=_memo_cap()).decide(goal)
+    result = Engine(args.mode or MODES[0], memo_cap=_memo_cap()).decide(goal)
     if isinstance(result, Provable) and args.emit_derivation:
         save_derivation(result.derivation, args.emit_derivation)
         _say(f"derivation written to {args.emit_derivation}")
@@ -377,6 +387,7 @@ def _cmd_repro(args) -> int:
 
 def _cmd_atlas(args) -> int:
     atoms = _atoms(args.atoms)
+    _check_weight("--weight-cap", args.weight_cap)
     if args.out:
         # an unwritable --out fails here, before any search: "a" leaves an
         # existing file as it is, and a file made only to try is removed
@@ -417,6 +428,7 @@ def _cmd_atlas(args) -> int:
 
 
 def _cmd_theorems(args) -> int:
+    _check_weight("--max-weight", args.max_weight)
     report = theoremhood_report(
         _atoms(args.atoms), args.max_weight, engine=Engine(args.mode, memo_cap=_memo_cap())
     )
@@ -440,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="decide derivability of one sequent")
     p.add_argument("sequent")
-    p.add_argument("--mode", choices=MODES, default=MODES[0])
+    p.add_argument("--mode", choices=MODES, help=f"core logic only (default {MODES[0]})")
     p.add_argument("--logic", choices=("core", "int"), default="core")
     p.add_argument("--json", action="store_true")
     p.add_argument("--emit-derivation", metavar="PATH")
@@ -500,8 +512,8 @@ def main(argv=None) -> int:
         code = 3
     except (OSError, ValueError) as e:
         # unwritable outputs, an unloadable derivation, a malformed
-        # CORESEQ_MEMO_CAP, a --top that is not a theorem, an option this
-        # command cannot honour
+        # CORESEQ_MEMO_CAP, a --top that is not a theorem, an --atoms or
+        # weight bound out of range, an option this command cannot honour
         error = str(e)
     _say(f"coreseq: {error}")
     if getattr(args, "json", False):

@@ -7,6 +7,9 @@ exist: the default ``tennant`` mode lets the shared succedent of LAnd and
 LImp be the absurdity marker as well as a formula, while ``strict-table``
 restricts those two rules to formula succedents.  All other rules are
 identical in both modes.
+
+The module also holds what the engine and the forward closure share:
+`MODES` and `ResourceLimitError`.
 """
 
 from __future__ import annotations
@@ -19,6 +22,10 @@ from typing import Sequence
 from .syntax import And, FrozenSlots, Imp, Neg, Or, Sequent, parse_sequent, print_sequent
 
 MODES = ("tennant", "strict-table")
+
+
+class ResourceLimitError(RuntimeError):
+    """Search or saturation exceeded its configured size cap."""
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from coreseq import (
     parse_formula,
     parse_sequent,
     print_sequent,
-    provable_subsequents,
     weakening_transform,
 )
 from coreseq.admissibility import (
@@ -112,7 +111,7 @@ def test_no_public_callable_takes_both_mode_and_engine():
                     continue
                 assert not {"mode", "engine"} <= set(params), f"{module.__name__}.{name}"
                 checked.append(member)
-    experiments = {run_admissibility, top_equivalence_study, provable_subsequents}
+    experiments = {run_admissibility, top_equivalence_study}
     assert experiments | {coreseq.cross_check, coreseq.theoremhood_report} <= set(checked)
 
 

@@ -13,6 +13,7 @@ from coreseq import (
     cross_check,
     fixture_path,
     formula_universe,
+    forward_closure,
     load_derivation,
     parse_sequent,
     print_sequent,
@@ -174,6 +175,18 @@ def test_decide_json_error_objects(capsys, monkeypatch):
     assert code == 2
     assert json.loads(out) == {"status": "resource-limit", "error": "resource limit: out of memory"}
     assert err == "coreseq: resource limit: out of memory\n"
+
+    # the forward closure's cap error is the engine's class, so it maps
+    # to the same exit
+    def closure_over_its_cap(self, goal):
+        return forward_closure(formula_universe(["p", "q"], 3), 6, max_size=10)
+
+    monkeypatch.setattr(Engine, "decide", closure_over_its_cap)
+    code, out, _ = run(capsys, "decide", "p |- p", "--json")
+    assert code == 2
+    assert json.loads(out) == {
+        "status": "resource-limit", "error": "resource limit: closure exceeded the cap of 10 sequents",
+    }
 
 
 # -- check ---------------------------------------------------------------------
@@ -438,8 +451,9 @@ def test_theorems_exits_1_on_a_disagreement(capsys):
         (["theorems", "--atoms", "2", "--max-weight", "6"], "5", "resource limit"),
         (["theorems", "--atoms", "2", "--max-weight", "6"], "abc", "invalid CORESEQ_MEMO_CAP 'abc'"),
         (["theorems", "--atoms", "9", "--max-weight", "2"], None, "--atoms must be between 1 and 8"),
+        (["theorems", "--atoms", "2", "--max-weight", "-1"], None, "--max-weight must be at least 1"),
     ],
-    ids=["memo-cap", "bad-memo-cap", "atoms"],
+    ids=["memo-cap", "bad-memo-cap", "atoms", "max-weight"],
 )
 def test_theorems_errors_exit_2(capsys, monkeypatch, argv, env, message):
     if env is not None:
@@ -464,10 +478,13 @@ def test_theorems_errors_exit_2(capsys, monkeypatch, argv, env, message):
         (["decide", "p |- p", "--logic", "int", "--emit-derivation", "{tmp}/x.json"], None,
          "--emit-derivation is only available for core logic"),
         (["atlas", "--atoms", "9", "--weight-cap", "2"], None, "--atoms must be between 1 and 8"),
+        (["decide", "p |- p", "--logic", "int", "--mode", "strict-table"], None,
+         "--mode is only available for core logic"),
+        (["atlas", "--atoms", "2", "--weight-cap", "0"], None, "--weight-cap must be at least 1"),
     ],
     ids=[
         "decide-emit-derivation", "atlas-out", "repro-out", "memo-cap", "repro-top",
-        "int-emit-derivation", "atlas-atoms",
+        "int-emit-derivation", "atlas-atoms", "int-mode", "atlas-weight-cap",
     ],
 )
 def test_errors_outside_the_query_exit_2(capsys, monkeypatch, tmp_path, argv, env, message):
@@ -493,6 +510,9 @@ def test_failed_write_prints_only_the_error_object(capsys, monkeypatch, tmp_path
     assert json.loads(out) == {
         "status": "error", "error": "--emit-derivation is only available for core logic",
     }
+    code, out, _ = run(capsys, "decide", "p |- p", "--logic", "int", "--json", "--mode", "tennant")
+    assert code == 2
+    assert json.loads(out) == {"status": "error", "error": "--mode is only available for core logic"}
     monkeypatch.setenv("CORESEQ_MEMO_CAP", "abc")
     code, out, _ = run(capsys, "decide", "p |- p", "--json")
     assert code == 2

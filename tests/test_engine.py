@@ -1,10 +1,8 @@
 import copy
-import inspect
 import pickle
 import random
 import time
 import tracemalloc
-import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,12 +38,12 @@ from coreseq import (
     parse_formula,
     parse_sequent,
     print_sequent,
-    provable_subsequents,
     sequent_family,
     sequent_weight,
 )
 from coreseq import engine
-from coreseq.engine import CLOSURE_FORMULA_CEILING, TABLE_ATOM_CEILING, backward_instances
+from coreseq.closure import CLOSURE_FORMULA_CEILING
+from coreseq.engine import TABLE_ATOM_CEILING, backward_instances
 from coreseq.kernel import check_rule
 from coreseq.syntax import antecedent_key, subformulas, weight
 
@@ -1018,33 +1016,6 @@ def test_memo_cap_counts_extraction_searches(text, lookups):
     assert _min_height_primed(goal, lookups).decide(goal) == res
 
 
-# -- provable_subsequents ----------------------------------------------------
-
-
-def test_subsequents_of_weakened_pair():
-    results = provable_subsequents(S("B, ~A, A |-"))
-    found = {print_sequent(s) for s, _ in results}
-    assert "~A, A |-" in found
-    assert "B, ~A, A |-" not in found
-
-
-def test_subsequents_of_axiom():
-    results = provable_subsequents(S("p |- p"))
-    assert [(print_sequent(s)) for s, _ in results] == ["p |- p"]
-
-
-def test_subsequents_of_lewis_paradox():
-    results = provable_subsequents(S("~A, A |- B"))
-    assert all(s.succedent != Atom("B") for s, _ in results)
-    assert any(print_sequent(s) == "~A, A |-" for s, _ in results)
-
-
-def test_subsequents_size_guard():
-    big = Sequent(tuple(Atom(f"x{i}") for i in range(13)), Atom("x0"))
-    with pytest.raises(ValueError):
-        provable_subsequents(big)
-
-
 # -- forward closure ----------------------------------------------------------
 
 
@@ -1187,27 +1158,3 @@ def test_closure_refuses_universes_over_the_width_ceiling():
     # ceiling, so it stops at max_size
     with pytest.raises(ResourceLimitError, match="cap of 10 "):
         forward_closure(formula_universe(["p", "q"], 3), 6, max_size=10)
-
-
-def test_closure_shares_no_code_with_the_engine_search():
-    # the oracle's code, nested functions and module helpers included,
-    # names none of the backward search's helpers
-    banned = {
-        "_superset_closure", "_subsets", "_insert", "_remove", "_product_pairs",
-        "_blocks", "_instances", "_solve", "_settle_root", "_failing_rows",
-        "_disconnected", "_extract", "_intern_goal", "_FormulaTable", "Engine",
-    }
-    seen, todo = set(), [forward_closure.__code__]
-    while todo:
-        code = todo.pop()
-        if code in seen:
-            continue
-        seen.add(code)
-        names = {*code.co_names, *code.co_varnames, *code.co_freevars, *code.co_cellvars}
-        assert not names & banned, (code.co_name, names & banned)
-        todo.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
-        for name in code.co_names:
-            obj = getattr(engine, name, None)
-            if inspect.isfunction(obj) and obj.__module__ == engine.__name__:
-                todo.append(obj.__code__)
-    assert {"add", "combine", "unary"} <= {code.co_name for code in seen}

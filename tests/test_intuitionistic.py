@@ -211,6 +211,13 @@ def test_forcing_of_conditionals_quantifies_over_later_worlds():
     assert chain.forces(1, F("p"))
 
 
+def test_forcing_at_a_world_outside_the_model_is_rejected():
+    chain = KripkeModel((0, 1), frozenset({(0, 0), (1, 1), (0, 1)}), (frozenset(), frozenset({"p"})))
+    for world, f in ((5, F("p")), (2, F("~p")), (-1, F("p"))):
+        with pytest.raises(ValueError, match=f"world {world} is not in this model"):
+            chain.forces(world, f)
+
+
 def _verify_draw(rng, atoms=("p", "q", "r")):
     """A sequent shaped like the benchmark's Kripke items: 0-3 antecedent
     formulas of weight 1-4, a fifth of the non-empty ones with the absurdity

@@ -5,7 +5,6 @@ import hashlib
 import pickle
 import random
 import re
-import sys
 import weakref
 from pathlib import Path
 
@@ -200,20 +199,6 @@ def test_no_syntax_function_calls_itself():
         if isinstance(call, ast.Call) and calls_itself(fn, call)
     ]
     assert offenders == []
-
-
-def test_syntax_imports_only_the_standard_library():
-    tree = ast.parse(Path(coreseq.syntax.__file__).read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            roots = [alias.name.split(".")[0] for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            assert node.level == 0, ast.unparse(node)
-            roots = [node.module.split(".")[0]]
-        else:
-            continue
-        for root in roots:
-            assert root in sys.stdlib_module_names, ast.unparse(node)
 
 
 # -- the reference parser ---------------------------------------------------
