@@ -20,7 +20,7 @@ two meet: neither oracle imports the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator, Optional
 
 from .engine import Engine
@@ -69,6 +69,30 @@ def weakening_transform(f: Formula) -> RuleTransform:
 identity_transform = RuleTransform("Identity", lambda s: s)
 
 
+def _json_value(v):
+    if isinstance(v, Sequent):
+        return print_sequent(v)
+    if isinstance(v, Formula):
+        return print_formula(v)
+    if isinstance(v, (list, tuple)):
+        return [_json_value(x) for x in v]
+    if hasattr(v, "to_json"):
+        return v.to_json()
+    return v
+
+
+class _FieldsJSON:
+    """A report whose JSON form is its dataclass fields, except those
+    declared with metadata {"json": False}."""
+
+    def to_json(self) -> dict:
+        return {
+            f.name: _json_value(getattr(self, f.name))
+            for f in fields(self)
+            if f.metadata.get("json", True)
+        }
+
+
 @dataclass(frozen=True)
 class Witness:
     premise: Sequent
@@ -90,7 +114,7 @@ class Witness:
 
 
 @dataclass
-class AdmissibilityVerdict:
+class AdmissibilityVerdict(_FieldsJSON):
     rule: str
     universe: str
     mode: str
@@ -98,17 +122,6 @@ class AdmissibilityVerdict:
     witnesses: list[Witness] = field(default_factory=list)
     sequents_tested: int = 0
     provable_tested: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "rule": self.rule,
-            "universe": self.universe,
-            "mode": self.mode,
-            "status": self.status,
-            "witnesses": [w.to_json() for w in self.witnesses],
-            "sequents_tested": self.sequents_tested,
-            "provable_tested": self.provable_tested,
-        }
 
 
 def describe_universe(universe: Iterable[Formula], weight_cap: int) -> str:
@@ -257,7 +270,7 @@ def _compare(goals: Iterable[Sequent], engine: Engine, prover: IntProver) -> Ite
 
 
 @dataclass
-class CrossCheckReport:
+class CrossCheckReport(_FieldsJSON):
     universe_size: int
     weight_cap: int
     mode: str
@@ -269,22 +282,10 @@ class CrossCheckReport:
     empty_antecedent_total: int = 0
     theorem_disagreements: list[Sequent] = field(default_factory=list)
     # (sequent, Core minimal height or None, intuitionistic verdict) per
-    # family member, in family order; not part of the JSON form
-    rows: list[tuple[Sequent, Optional[int], bool]] = field(default_factory=list, repr=False)
-
-    def to_json(self) -> dict:
-        return {
-            "universe_size": self.universe_size,
-            "weight_cap": self.weight_cap,
-            "mode": self.mode,
-            "total": self.total,
-            "core_provable": self.core_provable,
-            "int_provable": self.int_provable,
-            "violations": [print_sequent(s) for s in self.violations],
-            "divergences": [print_sequent(s) for s in self.divergences],
-            "empty_antecedent_total": self.empty_antecedent_total,
-            "theorem_disagreements": [print_sequent(s) for s in self.theorem_disagreements],
-        }
+    # family member, in family order
+    rows: list[tuple[Sequent, Optional[int], bool]] = field(
+        default_factory=list, repr=False, metadata={"json": False}
+    )
 
 
 def cross_check(
@@ -327,7 +328,7 @@ def cross_check(
 
 
 @dataclass
-class TheoremhoodReport:
+class TheoremhoodReport(_FieldsJSON):
     atoms: tuple[str, ...]
     max_weight: int
     mode: str
@@ -335,17 +336,6 @@ class TheoremhoodReport:
     core_theorems: int
     int_theorems: int
     disagreements: list[Formula] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "atoms": list(self.atoms),
-            "max_weight": self.max_weight,
-            "mode": self.mode,
-            "total": self.total,
-            "core_theorems": self.core_theorems,
-            "int_theorems": self.int_theorems,
-            "disagreements": [print_formula(f) for f in self.disagreements],
-        }
 
 
 def theoremhood_report(

@@ -69,9 +69,12 @@ def _memo_cap() -> int:
     if raw is None:
         return DEFAULT_MEMO_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise ValueError(f"invalid CORESEQ_MEMO_CAP {raw!r}") from None
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"invalid CORESEQ_MEMO_CAP {raw!r}")
+    return cap
 
 
 def _atoms(count: int) -> tuple[str, ...]:

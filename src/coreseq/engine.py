@@ -481,6 +481,8 @@ class Engine:
     def __init__(self, mode: str = MODES[0], memo_cap: int = DEFAULT_MEMO_CAP):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
+        if memo_cap < 1:  # every query looks up its root
+            raise ValueError(f"memo_cap must be at least 1, not {memo_cap}")
         self.mode = mode
         self.memo_cap = memo_cap
         self._t = _FormulaTable()
@@ -1023,16 +1025,13 @@ class Engine:
         whose settled premises are all below h, `_open_below` decides the
         other open ones.
         """
-        settled, floors = self._heights, self._floors
+        settled = self._heights
         h = settled[g]
         for rule, prems in self._instances(g):
             known = [settled.get(p, _OPEN) for p in prems]
             if None in known or (known and max(known) >= h):
                 continue
-            for p, hp in zip(prems, known):
-                if hp == _OPEN and not (floors.get(p, 0) < h - 1 and self._open_below(p, h, effort)):
-                    break
-            else:
+            if all(hp != _OPEN or self._open_below(p, h, effort) for p, hp in zip(prems, known)):
                 return Derivation(
                     self._goal_sequent(g),
                     RULE_NAMES[rule],
@@ -1047,11 +1046,14 @@ class Engine:
         search had settled and so has minimal height at least h - 1, has
         minimal height h - 1.
 
-        First the query's searches that stopped inside a level finish it,
-        which settles p or gives it a floor of h - 1 when a goal they
-        settled needs it.  Only if p is still open below that floor does a
-        search from p, limited to h - 1 levels, decide it.
+        A floor of h - 1 or more answers no at once.  Otherwise first the
+        query's searches that stopped inside a level finish it, which
+        settles p or gives it a floor of h - 1 when a goal they settled
+        needs it.  Only if p is still open below that floor does a search
+        from p, limited to h - 1 levels, decide it.
         """
+        if self._floors.get(p, 0) >= h - 1:
+            return False
         settled = self._heights
         unfinished = effort.unfinished
         while unfinished:

@@ -275,13 +275,6 @@ class KripkeModel:
                 known[u, g] = all(not known[v, g.left] or known[v, g.right] for v in above[u])
         return known[w, f]
 
-    def to_json(self) -> dict:
-        return {
-            "worlds": list(self.worlds),
-            "order": sorted([u, v] for (u, v) in self.order),
-            "valuation": [sorted(v) for v in self.valuation],
-        }
-
 
 def _rooted_posets(k: int) -> list[frozenset[tuple[int, int]]]:
     """Partial orders on 0..k-1 with 0 as minimum, up to isomorphism."""

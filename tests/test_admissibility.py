@@ -1,5 +1,7 @@
+import dataclasses
 import importlib
 import inspect
+import json
 import pkgutil
 
 import pytest
@@ -121,6 +123,20 @@ def test_verdict_json_carries_cli_invocations():
     assert blob["status"] == NOT_ADMISSIBLE
     assert blob["witnesses"][0]["premise_cli"].startswith('coreseq decide "')
     assert "universe" in blob and "atoms={p,q}" in blob["universe"]
+
+
+def test_report_json_keys_are_its_declared_fields():
+    # a field added to a report reaches the evidence unless listed here
+    universe = formula_universe(["p", "q"], 2)
+    reports = [
+        (run_admissibility(l_top_transform(TOP), universe, 3), set()),
+        (coreseq.cross_check(universe, 3), {"rows"}),
+        (coreseq.theoremhood_report(["p"], 3), set()),
+    ]
+    for report, excluded in reports:
+        blob = json.loads(json.dumps(report.to_json()))
+        declared = {f.name for f in dataclasses.fields(report)}
+        assert set(blob) == declared - excluded, type(report).__name__
 
 
 # -- the three-query equivalence study ---------------------------------------

@@ -450,10 +450,12 @@ def test_theorems_exits_1_on_a_disagreement(capsys):
     [
         (["theorems", "--atoms", "2", "--max-weight", "6"], "5", "resource limit"),
         (["theorems", "--atoms", "2", "--max-weight", "6"], "abc", "invalid CORESEQ_MEMO_CAP 'abc'"),
+        (["theorems", "--atoms", "2", "--max-weight", "6"], "0", "invalid CORESEQ_MEMO_CAP '0'"),
+        (["theorems", "--atoms", "2", "--max-weight", "6"], "-5", "invalid CORESEQ_MEMO_CAP '-5'"),
         (["theorems", "--atoms", "9", "--max-weight", "2"], None, "--atoms must be between 1 and 8"),
         (["theorems", "--atoms", "2", "--max-weight", "-1"], None, "--max-weight must be at least 1"),
     ],
-    ids=["memo-cap", "bad-memo-cap", "atoms", "max-weight"],
+    ids=["memo-cap", "bad-memo-cap", "zero-memo-cap", "negative-memo-cap", "atoms", "max-weight"],
 )
 def test_theorems_errors_exit_2(capsys, monkeypatch, argv, env, message):
     if env is not None:
@@ -474,6 +476,8 @@ def test_theorems_errors_exit_2(capsys, monkeypatch, argv, env, message):
         (["atlas", "--atoms", "1", "--weight-cap", "2", "--out", "{tmp}/missing/x.csv"], None, "No such file"),
         (["repro", "--out", "{tmp}/file/sub"], None, "Not a directory"),
         (["decide", "p |- p"], "abc", "invalid CORESEQ_MEMO_CAP 'abc'"),
+        (["decide", "p |- q"], "0", "invalid CORESEQ_MEMO_CAP '0'"),
+        (["decide", "p |- p"], "-5", "invalid CORESEQ_MEMO_CAP '-5'"),
         (["repro", "--top", "p", "--out", "{tmp}/r"], None, "p is not a theorem"),
         (["decide", "p |- p", "--logic", "int", "--emit-derivation", "{tmp}/x.json"], None,
          "--emit-derivation is only available for core logic"),
@@ -483,7 +487,8 @@ def test_theorems_errors_exit_2(capsys, monkeypatch, argv, env, message):
         (["atlas", "--atoms", "2", "--weight-cap", "0"], None, "--weight-cap must be at least 1"),
     ],
     ids=[
-        "decide-emit-derivation", "atlas-out", "repro-out", "memo-cap", "repro-top",
+        "decide-emit-derivation", "atlas-out", "repro-out", "memo-cap", "zero-memo-cap",
+        "negative-memo-cap", "repro-top",
         "int-emit-derivation", "atlas-atoms", "int-mode", "atlas-weight-cap",
     ],
 )

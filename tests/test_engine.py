@@ -406,6 +406,13 @@ def test_resource_limit_is_not_unprovable():
         eng.decide(S("p -> q, q -> p, p | q |- p & q"))
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+def test_memo_cap_below_one_is_rejected(cap):
+    # every query looks up its root, so no cap below 1 admits a query
+    with pytest.raises(ValueError, match="memo_cap must be at least 1"):
+        Engine(memo_cap=cap)
+
+
 def test_memo_cap_ignores_earlier_queries():
     # the cap bounds the premise lookups one query makes, not the shared
     # table; the first query makes 304
