@@ -108,6 +108,18 @@ memo they serve later queries.  All of this belongs to the query: it
 counts in its statistics and against its cap.  `min_height` never
 extracts.
 
+Extraction builds few instance tables.  Only Ax realises height 0, so a
+node settled at 0 is Ax, with no instance listed.  A search keeps the
+one-premise instances it built for each goal it expands that has no split
+families, and when it stops or gives up it hands those of the goals it
+settled provable, the only ones extraction can reach, to the query;
+extraction reads them instead of building them again.  Any other node
+builds its instances: a search never keeps split tables, and one that
+exhausts its space hands over nothing.  The walk keeps its own stacks:
+it chooses each node's instance in preorder, the order in which the
+recursive definition meets open premises, then builds the nodes
+bottom-up.
+
 `_instances` streams the same groups as pairs, lazily, in the order of the
 3^n product recurrence, which is the generation order extraction reads;
 `backward_instances` lists every instance once.
@@ -210,11 +222,6 @@ _KIND_OF = {Atom: _KATOM, Neg: _KNEG, And: _KAND, Or: _KOR, Imp: _KIMP}
     _RIMPA,
     _RIMPB,
 ) = range(11)
-
-# the two-premise rules, whose instances are split pairs, and the
-# one-premise rules
-_SPLIT_RULES = (_RAND, _LOR, _LIMP)
-_ONE_PREMISE_RULES = tuple(r for r in range(11) if r != _AX and r not in _SPLIT_RULES)
 
 # the answer of a premise lookup or of the root step for a goal that may
 # still be derived
@@ -325,7 +332,7 @@ class _Effort:
     looked up, and the goals expanded (see `SearchStats`), with the
     searches that stopped inside a level."""
 
-    __slots__ = ("lookups", "goals", "expanded", "unfinished")
+    __slots__ = ("lookups", "goals", "expanded", "unfinished", "built")
 
     def __init__(self, root: tuple):
         self.lookups = 1
@@ -334,6 +341,10 @@ class _Effort:
         # each search paused inside a level, which extraction may yet
         # need to finish (see `Engine._solve`)
         self.unfinished: list = []
+        # goal -> its `Engine._blocks` singles, for goals with no split
+        # families that the searches expanded and settled provable, which
+        # extraction reads instead of building them again
+        self.built: dict[tuple, list] = {}
 
 
 class _FormulaTable:
@@ -653,53 +664,46 @@ class Engine:
 
     # -- instance enumeration (id space) --
 
-    def _blocks(self, g: tuple) -> list[list]:
-        """The rule instances concluding this goal, one block per rule.
+    def _blocks(self, g: tuple) -> tuple[list, list]:
+        """The rule instances concluding this goal but Ax, as (singles,
+        splits), each in rule order.
 
-        The block of Ax or a one-premise rule lists premise tuples.  The
-        block of a split rule (RAnd, LOr, LImp) lists split families in the
-        form `_product_pairs` reads, one per principal, in antecedent order.
-        A family's groups span the whole antecedent: for LOr and LImp the
-        principal's bit is free, so one group holds both the discharged and
-        the retained pairs, and each premise antecedent is built once per
-        subset of the antecedent, never once per pair or per variant.
-        Within the other blocks, entries follow the canonical generation
-        order: principals in antecedent order, discharged premise variants
-        before retaining ones.
+        `singles` lists the one-premise instances as (rule, (premise,))
+        pairs.  `splits` lists the split rules' (RAnd, LOr, LImp) families as
+        (rule, family) pairs, one family per principal, in the form
+        `_product_pairs` reads.  A family's groups span the whole
+        antecedent: for LOr and LImp the principal's bit is free, so one
+        group holds both the discharged and the retained pairs, and each
+        premise antecedent is built once per subset of the antecedent, never
+        once per pair or per variant.  Within a rule, entries follow the
+        canonical generation order: principals in antecedent order,
+        discharged premise variants before retaining ones.
         """
         t = self._t
         kind, left, right = t.kind, t.left, t.right
         insert = self._insert
         ants, succ = g
-        blocks: list[list] = [[] for _ in range(11)]
+        singles: list[tuple[int, tuple]] = []
+        splits: list[tuple[int, tuple]] = []
+        limps: list[tuple[int, tuple]] = []  # LImp's families, which follow LOr's
         subs = None  # every sub-tuple of the antecedent, built on first use
 
         if succ == _ABSURD:
+            sk = _ABSURD
             for pos, f in enumerate(ants):
                 if kind[f] == _KNEG:
                     a = left[f]
-                    blocks[_LNEG] += (((ants[:pos] + ants[pos + 1:], a),), ((ants, a),))
+                    singles += ((_LNEG, ((ants[:pos] + ants[pos + 1:], a),)), (_LNEG, ((ants, a),)))
         else:
-            if len(ants) == 1 and ants[0] == succ:
-                blocks[_AX].append(())
             sk = kind[succ]
             if sk == _KNEG:
                 a = left[succ]
                 if a not in ants:
-                    blocks[_RNEG].append(((insert(ants, a), _ABSURD),))
+                    singles.append((_RNEG, ((insert(ants, a), _ABSURD),)))
             elif sk == _KAND:
                 a, b = left[succ], right[succ]
                 subs = _subsets(ants)
-                blocks[_RAND].append((0, (([(d, a) for d in subs], [(d, b) for d in subs]),)))
-            elif sk == _KOR:
-                blocks[_ROR1].append(((ants, left[succ]),))
-                blocks[_ROR2].append(((ants, right[succ]),))
-            elif sk == _KIMP:
-                a, b = left[succ], right[succ]
-                blocks[_RIMPA].append(((insert(ants, a), _ABSURD),))
-                if a not in ants:
-                    blocks[_RIMPB].append(((ants, b),))
-                    blocks[_RIMPB].append(((insert(ants, a), b),))
+                splits.append((_RAND, (0, (([(d, a) for d in subs], [(d, b) for d in subs]),))))
 
         left_absurd_ok = succ != _ABSURD or self.mode == "tennant"
 
@@ -715,7 +719,7 @@ class Engine:
                         prem = base
                         for x in ins:
                             prem = insert(prem, x)
-                        blocks[_LAND].append(((prem, succ),))
+                        singles.append((_LAND, ((prem, succ),)))
             elif k == _KOR or (k == _KIMP and left_absurd_ok):
                 # f's bit is free: a pair covers the antecedent with or
                 # without it (the discharged and the retained variant)
@@ -734,12 +738,21 @@ class Engine:
                         ls = [(x, succ) for x in la]
                         rs = [(y, succ) for y in rb]
                         groups = ((ls, rs), (ls, rb_absurd), (la_absurd, rs))
-                    blocks[_LOR].append((free, groups))
+                    splits.append((_LOR, (free, groups)))
                 else:
                     minor = [(d, a) for d in subs]
                     major = [(insert(d, b), succ) for d in subs]
-                    blocks[_LIMP].append((free, ((minor, major),)))
-        return blocks
+                    limps.append((_LIMP, (free, ((minor, major),))))
+
+        if sk == _KOR:
+            singles += ((_ROR1, ((ants, left[succ]),)), (_ROR2, ((ants, right[succ]),)))
+        elif sk == _KIMP:
+            a, b = left[succ], right[succ]
+            singles.append((_RIMPA, ((insert(ants, a), _ABSURD),)))
+            if a not in ants:
+                singles += ((_RIMPB, ((ants, b),)), (_RIMPB, ((insert(ants, a), b),)))
+        splits += limps
+        return singles, splits
 
     def _instances(self, g: tuple):
         """Every rule instance concluding this goal, lazily, in rule order.
@@ -749,11 +762,18 @@ class Engine:
         retaining ones, split pairs in product order (see `_product_pairs`).
         An instance may repeat.
         """
-        for rule, block in enumerate(self._blocks(g)):
-            if rule in _SPLIT_RULES:
-                block = (p for family in block for p in _product_pairs(family))
-            for prems in block:
+        ants, succ = g
+        if len(ants) == 1 and ants[0] == succ:
+            yield _AX, ()
+        singles, splits = self._blocks(g)
+        i = 0
+        for rule, family in splits:
+            while i < len(singles) and singles[i][0] < rule:
+                yield singles[i]
+                i += 1
+            for prems in _product_pairs(family):
                 yield rule, prems
+        yield from singles[i:]
 
     # -- solving --
 
@@ -786,7 +806,7 @@ class Engine:
         """
         if effort is None:
             effort = _Effort(root)
-        search = self._search(root, levels, effort.lookups, effort.goals, effort.expanded)
+        search = self._search(root, levels, effort.lookups, effort.goals, effort.expanded, effort.built)
         effort.lookups, stopped = next(search)
         if stopped:
             effort.unfinished.append(search)
@@ -794,7 +814,7 @@ class Engine:
             next(search, None)  # let it return
         return effort
 
-    def _search(self, root: tuple, levels: Optional[int], visits: int, touched: set, expanded: list):
+    def _search(self, root: tuple, levels: Optional[int], visits: int, touched: set, expanded: list, built: dict):
         """Explore the goals below the root level by level and settle their
         minimal heights; a generator, so that a stopped search can finish
         its level.
@@ -807,7 +827,10 @@ class Engine:
         of the level and yields the count again.  Goals it discovers or
         looks up go into `touched`, and the goals it expands into
         `expanded`.  A search that finishes its level or gives up records a
-        floor for each goal it explored and left unsettled.
+        floor for each goal it explored and left unsettled.  When it stops
+        or gives up it puts into `built` the `_blocks` singles of the goals
+        it expanded with no split families and settled provable; a search
+        that exhausts its space puts nothing there.
 
         One-premise instances wait on their premise.  A split rule is a join
         of two sides (see the module docstring): `settle_side` is the one
@@ -829,6 +852,16 @@ class Engine:
         # settled left masks, settled right masks, conclusion's depth]
         joined: dict[tuple, list[tuple[list, int, int]]] = {}
         fresh: list[tuple] = []  # the goals discovered one level down
+        # expanded goal with no split families -> its `_blocks` singles
+        kept: dict[tuple, list] = {}
+
+        def hand_over() -> None:
+            """Give extraction the singles of the kept goals settled
+            provable, the only ones it can reach."""
+            for g, singles in kept.items():
+                if settled.get(g):
+                    built[g] = singles
+            kept.clear()
 
         def discover(p: tuple, dp: int) -> None:
             depth[p] = dp
@@ -972,21 +1005,21 @@ class Engine:
             stopped = False
             for g in level:
                 expanded.append(g)
-                blocks = self._blocks(g)
-                for rule in _ONE_PREMISE_RULES:
-                    for (p,) in blocks[rule]:
-                        visits += 1
-                        ph = look(p)
-                        if ph is None:
-                            continue
-                        if ph == _OPEN:
-                            wait(p, (g, d), waiting)
-                        else:
-                            heapq.heappush(heap, (1 + ph + d, 1 + ph, g))
-                for rule in _SPLIT_RULES:
-                    for free, groups in blocks[rule]:
-                        for lefts, rights in groups:
-                            visits += open_group(g, free, lefts, rights)
+                singles, splits = self._blocks(g)
+                for _, (p,) in singles:
+                    visits += 1
+                    ph = look(p)
+                    if ph is None:
+                        continue
+                    if ph == _OPEN:
+                        wait(p, (g, d), waiting)
+                    else:
+                        heapq.heappush(heap, (1 + ph + d, 1 + ph, g))
+                for _, (free, groups) in splits:
+                    for lefts, rights in groups:
+                        visits += open_group(g, free, lefts, rights)
+                if not splits:
+                    kept[g] = singles
                 # every explored goal is looked up, so this bounds them too
                 if visits > cap:
                     raise ResourceLimitError(
@@ -997,11 +1030,13 @@ class Engine:
                     settle(d + 1)
                 if not stopped and root in settled:
                     touched.update(depth)
+                    hand_over()
                     visits = yield visits, True
                     stopped = True
             d += 1
             if stopped or d == levels:
                 record_floors(d)
+                hand_over()
                 break
         else:
             settle(math.inf)
@@ -1013,33 +1048,54 @@ class Engine:
         touched.update(depth)
         yield visits, False
 
-    def _extract(self, g: tuple, effort: _Effort) -> Derivation:
-        """The derivation of a goal settled provable at height h: the first
-        instance in generation order whose premises' minimal heights
-        realise h, whatever the memo holds.
+    def _extract(self, root: tuple, effort: _Effort) -> Derivation:
+        """The derivation of a goal settled provable: at each node of
+        height h, the first instance in generation order whose premises'
+        minimal heights realise h, whatever the memo holds.
 
         h is minimal, so an instance realises it exactly when its premises
-        are all derivable below h.  A premise no search has settled has
-        minimal height at least h - 1 (see the module docstring), and one
-        whose floor is h - 1 or more does not realise h; on an instance
-        whose settled premises are all below h, `_open_below` decides the
-        other open ones.
+        are all derivable below h.  Only Ax realises height 0.  A premise no
+        search has settled has minimal height at least h - 1 (see the module
+        docstring), and one whose floor is h - 1 or more does not realise h;
+        on an instance whose settled premises are all below h,
+        `_open_below` decides the other open ones.  A goal the query's
+        searches handed over in `effort.built` reads its instances there;
+        any other builds them.  The walk keeps its own stacks, so the
+        derivation may be as deep as the interner allows.
         """
         settled = self._heights
-        h = settled[g]
-        for rule, prems in self._instances(g):
-            known = [settled.get(p, _OPEN) for p in prems]
-            if None in known or (known and max(known) >= h):
-                continue
-            if all(hp != _OPEN or self._open_below(p, h, effort) for p, hp in zip(prems, known)):
-                return Derivation(
-                    self._goal_sequent(g),
-                    RULE_NAMES[rule],
-                    tuple(self._extract(p, effort) for p in prems),
-                )
-        raise AssertionError(
-            f"no rule instance realises height {h} for {print_sequent(self._goal_sequent(g))}"
-        )
+        built = effort.built
+        # the nodes in preorder, as (goal, rule, premise count): a node's
+        # instance is chosen, then each premise's subtree, left to right
+        chosen = []
+        todo = [root]
+        while todo:
+            g = todo.pop()
+            h = settled[g]
+            if h == 0:
+                rule, prems = _AX, ()
+            else:
+                for rule, prems in built.get(g) or self._instances(g):
+                    known = [settled.get(p, _OPEN) for p in prems]
+                    if None in known or max(known) >= h:
+                        continue
+                    if all(hp != _OPEN or self._open_below(p, h, effort) for p, hp in zip(prems, known)):
+                        break
+                else:
+                    raise AssertionError(
+                        f"no rule instance realises height {h} for {print_sequent(self._goal_sequent(g))}"
+                    )
+            chosen.append((g, rule, len(prems)))
+            todo += reversed(prems)
+        # built in reverse preorder, a node finds its premises' derivations
+        # on top of `done`, the first premise's last
+        done: list[Derivation] = []
+        for g, rule, n in reversed(chosen):
+            premises = done[len(done) - n:]
+            del done[len(done) - n:]
+            premises.reverse()
+            done.append(Derivation(self._goal_sequent(g), RULE_NAMES[rule], premises))
+        return done[0]
 
     def _open_below(self, p: tuple, h: int, effort: _Effort) -> bool:
         """Whether a premise p of a goal settled at height h, which no

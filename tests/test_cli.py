@@ -127,6 +127,19 @@ def test_decide_deeply_nested_input_exits_2(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("mode", ["tennant", "strict-table"])
+def test_decide_answers_with_a_derivation_600_levels_deep(capsys, mode):
+    text = "|- " + " -> ".join(["p"] * 601)
+    code, _, err = run(capsys, "decide", text, "--mode", mode)
+    assert code == 0
+    assert err.endswith(": provable, minimal height 600\n")
+    # json nests two levels per derivation node and gives up near 500 nodes
+    code, out, err = run(capsys, "decide", text, "--mode", mode, "--json")
+    assert code == 2
+    assert json.loads(out) == {"status": "error", "error": "input nested too deeply"}
+    assert "Traceback" not in err
+
+
 def test_decide_rejects_input_beyond_the_parsers_nesting_bound(capsys):
     code, out, err = run(capsys, "decide", "~" * 200_000 + "p |- p", "--json")
     assert code == 2

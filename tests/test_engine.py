@@ -1,5 +1,6 @@
 import copy
 import pickle
+from collections import Counter
 import random
 import time
 import tracemalloc
@@ -566,6 +567,49 @@ def test_min_height_then_decide_gives_the_fresh_derivation(text, mode):
     res = eng.decide(goal)
     assert (res.derivation, res.min_height) == (fresh.derivation, fresh.min_height)
     _assert_canonical(res.derivation, mode, Engine(mode))
+
+
+@pytest.mark.parametrize("mode, provable, sums, rules", [
+    ("tennant", 193, (23148, 5766, 13523), {
+        "Ax": 225, "LAnd": 66, "LImp": 8, "LNeg": 112, "LOr": 14, "RAnd": 10,
+        "RImpA": 33, "RImpB": 142, "RNeg": 60, "ROr1": 43, "ROr2": 34,
+    }),
+    ("strict-table", 172, (14915, 5052, 13475), {
+        "Ax": 199, "LAnd": 45, "LImp": 4, "LNeg": 91, "LOr": 13, "RAnd": 10,
+        "RImpA": 23, "RImpB": 142, "RNeg": 52, "ROr1": 42, "ROr2": 31,
+    }),
+])
+def test_extraction_on_queries_like_the_benchmarks(mode, provable, sums, rules):
+    # fresh engines, as `coreseq decide`: the derivations' nodes of each
+    # rule and the queries' summed goals_expanded, distinct_goals and
+    # max_weight_seen, which extraction's searches add to
+    found = Counter()
+    totals = [0, 0, 0]
+    count = 0
+    for goal in _decide_draws(11, 2000):
+        res = Engine(mode).decide(goal)
+        stats = res.stats if res.is_provable else res.certificate
+        for i, value in enumerate((stats.goals_expanded, stats.distinct_goals, stats.max_weight_seen)):
+            totals[i] += value
+        if res.is_provable:
+            count += 1
+            todo = [res.derivation]
+            while todo:
+                node = todo.pop()
+                found[node.rule] += 1
+                todo.extend(node.premises)
+    assert (count, tuple(totals), dict(found)) == (provable, sums, rules)
+
+
+@pytest.mark.parametrize("mode", ["tennant", "strict-table"])
+def test_extraction_needs_no_recursion(mode):
+    # |- p -> p -> ... -> p with 600 arrows has a derivation 600 nodes
+    # deep, beyond what a recursive walk reaches under Python's default
+    # recursion limit
+    goal = S("|- " + " -> ".join(["p"] * 601))
+    res = Engine(mode).decide(goal)
+    assert check_derivation(res.derivation, mode) is None
+    assert height(res.derivation) == res.min_height == Engine(mode).min_height(goal) == 600
 
 
 # -- the root step --------------------------------------------------------------
