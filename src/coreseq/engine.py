@@ -195,6 +195,7 @@ from .syntax import (
     Sequent,
     _Record,
     antecedent_key,
+    ordered_sequent,
     print_sequent,
 )
 
@@ -569,8 +570,9 @@ class Engine:
     def _goal_sequent(self, g: tuple) -> Sequent:
         obj = self._t.obj
         ants, succ = g
-        return Sequent(
-            tuple(obj[i] for i in ants), None if succ == _ABSURD else obj[succ]
+        # ids are in rank order, which is antecedent_key order
+        return ordered_sequent(
+            tuple([obj[i] for i in ants]), None if succ == _ABSURD else obj[succ]
         )
 
     def _goal_weight(self, g: tuple) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
-from .syntax import And, FrozenSlots, Imp, Neg, Or, Sequent, parse_sequent, print_sequent
+from .syntax import And, FrozenSlots, Imp, Neg, Or, Sequent, _parse_sequent_shared, print_sequent
 
 MODES = ("tennant", "strict-table")
 
@@ -400,7 +400,18 @@ def derivation_from_json(obj) -> Derivation:
     validated and parsed in preorder, so the first bad node is reported.  A
     node with premises waits in `pending` with the stack height below its
     premises; when the stack is back at that height its premises are the
-    last ones built, in order."""
+    last ones built, in order.
+
+    Each formula is parsed once per call: one dict, freed on return, maps
+    the canonical text of every formula parsed so far to it, and each
+    conclusion printed in canonical form over known formulas is built from
+    them without tokenizing (`syntax._parse_sequent_shared`).  In Core's
+    rules every premise formula is a subformula of the conclusion, so after
+    the root the nodes of a derivation the engine wrote share its formula
+    objects.  The result is what `parse_sequent` gives on every node,
+    because canonical text parses back to the formula that printed it; any
+    other text, and every malformed one, goes through the parser."""
+    formulas: dict = {}
     stack = [obj]
     pending: list[tuple[Sequent, str, int, int]] = []
     built: list[Derivation] = []
@@ -420,10 +431,10 @@ def derivation_from_json(obj) -> Derivation:
         if not isinstance(premises, list):
             raise ValueError("'premises' must be a list")
         if premises:
-            pending.append((parse_sequent(conclusion), rule, len(premises), len(stack)))
+            pending.append((_parse_sequent_shared(conclusion, formulas), rule, len(premises), len(stack)))
             stack += reversed(premises)
             continue
-        built.append(Derivation(parse_sequent(conclusion), rule, ()))
+        built.append(Derivation(_parse_sequent_shared(conclusion, formulas), rule, ()))
         while pending and pending[-1][3] == len(stack):
             conclusion, rule, count, _ = pending.pop()
             premises = tuple(built[-count:])

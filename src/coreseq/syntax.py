@@ -18,7 +18,8 @@ duplicate-free.  A `Sequent` is a plain object with ``__slots__`` that
 holds only its two fields: its constructor deduplicates and orders the
 antecedent once (an antecedent of fewer than two formulas needs neither),
 no field can be assigned or deleted afterwards, and `==` and `hash` are
-those of the pair (antecedent, succedent).
+those of the pair (antecedent, succedent).  `ordered_sequent` takes an
+antecedent that is already duplicate-free and in that order as it is.
 
 A formula is identified by its canonical text.  Each node is a plain
 object with ``__slots__`` whose constructor computes its weight and its
@@ -41,6 +42,13 @@ memory, not call frames; more than 10^4 levels around one atom is a
 `ParseError`, and so is a parse whose node texts exceed 2^27 characters in
 all, which bounds the text that deep or long chains store.  Token
 positions are worked out only when a `ParseError` is raised.
+
+A caller that parses many sequents over shared formulas, such as the nodes
+of one derivation, passes one dict to `_parse_sequent_shared`.  The dict
+maps the canonical text of every formula parsed so far to the formula, so
+a sequent printed in `print_sequent`'s form over known formulas is built
+from them with no tokenizing, and any other text goes through the parser,
+which records the nodes it builds.
 """
 
 from __future__ import annotations
@@ -259,6 +267,16 @@ class Sequent(_Record):
 _set_antecedent, _set_succedent = Sequent.antecedent.__set__, Sequent.succedent.__set__
 
 
+def ordered_sequent(antecedent: tuple[Formula, ...], succedent: Succedent) -> Sequent:
+    """The sequent over an antecedent tuple that is already duplicate-free
+    and in `antecedent_key` order, which is taken as it is: equal to
+    `Sequent(antecedent, succedent)`, without the set and the sort."""
+    s = _new(Sequent)
+    _set_antecedent(s, antecedent)
+    _set_succedent(s, succedent)
+    return s
+
+
 def print_sequent(s: Sequent) -> str:
     left = ", ".join(print_formula(f) for f in s.antecedent)
     if s.succedent is None:
@@ -343,10 +361,14 @@ def _spend(budget: list[int], f: Formula, text: str, i: int) -> None:
         raise _error(text, i, _TOO_LARGE)
 
 
-def _formula(text: str, tokens: list[str], i: int, atoms: dict, budget: Optional[list[int]]) -> tuple[Formula, int]:
+def _formula(
+    text: str, tokens: list[str], i: int, atoms: dict, budget: Optional[list[int]], record: bool
+) -> tuple[Formula, int]:
     """The formula that starts at token i, and the index of the token after
-    it.  `atoms` holds the atoms built so far in this parse, by name, and
-    `budget` (see `_budget`) is charged for every node built."""
+    it.  `atoms` holds the atoms built so far, by name, and `budget` (see
+    `_budget`) is charged for every node built.  With `record`, every
+    compound node built is also stored in `atoms` under its text; no token
+    is such a text, so the lookups of tokens still find only atoms."""
     stack = [_LPAR]
     depth = 0  # open parentheses on the stack, the bottom not counted
     while True:
@@ -377,6 +399,8 @@ def _formula(text: str, tokens: list[str], i: int, atoms: dict, budget: Optional
                 f = Neg(f)
                 if budget:
                     _spend(budget, f, text, i)
+                if record:
+                    atoms[f.text] = f
             kind = _KIND.get(tokens[i])
             prec, ctor, reduces = _BINARY.get(kind, _END)
             while stack[-1][0] >= reduces:
@@ -384,6 +408,8 @@ def _formula(text: str, tokens: list[str], i: int, atoms: dict, budget: Optional
                 f = c(left, f)
                 if budget:
                     _spend(budget, f, text, i)
+                if record:
+                    atoms[f.text] = f
             if ctor is not None or kind != ")" or not depth:
                 break
             stack.pop()
@@ -399,35 +425,67 @@ def _formula(text: str, tokens: list[str], i: int, atoms: dict, budget: Optional
 
 def parse_formula(text: str) -> Formula:
     tokens = _TOKEN.findall(text) + [""]
-    f, i = _formula(text, tokens, 0, {}, _budget(text))
+    f, i = _formula(text, tokens, 0, {}, _budget(text), False)
     if tokens[i]:
         raise _error(text, i, "unexpected trailing input {}")
     return f
 
 
 def parse_sequent(text: str) -> Sequent:
+    return _parse_sequent(text, {}, False)
+
+
+def _parse_sequent(text: str, atoms: dict, record: bool) -> Sequent:
+    """`parse_sequent`, over the atoms in `atoms` and recording into it as
+    `_formula` does."""
     tokens = _TOKEN.findall(text) + [""]
-    atoms: dict = {}
     antecedent: list[Formula] = []
     budget = _budget(text)
     i = 0
     if _KIND.get(tokens[0]) != "|-":
-        f, i = _formula(text, tokens, 0, atoms, budget)
+        f, i = _formula(text, tokens, 0, atoms, budget, record)
         antecedent.append(f)
         while _KIND.get(tokens[i]) == ",":
-            f, i = _formula(text, tokens, i + 1, atoms, budget)
+            f, i = _formula(text, tokens, i + 1, atoms, budget, record)
             antecedent.append(f)
         if _KIND.get(tokens[i]) != "|-":
             raise _error(text, i, "expected TURNSTILE, found {}")
     turnstile = i
     succedent: Succedent = None
     if tokens[i + 1]:
-        succedent, i = _formula(text, tokens, i + 1, atoms, budget)
+        succedent, i = _formula(text, tokens, i + 1, atoms, budget, record)
         if tokens[i]:
             raise _error(text, i, "unexpected trailing input {}")
     elif not antecedent:
         raise _error(text, turnstile, "empty judgment: no antecedent and no succedent")
     return Sequent(tuple(antecedent), succedent)
+
+
+def _parse_sequent_shared(text: str, formulas: dict) -> Sequent:
+    """`parse_sequent(text)`, sharing formulas with earlier calls on the
+    same dict, which maps canonical text to formula and starts empty.
+
+    A text in `print_sequent`'s form (``A, B |- C``, ``A |-`` or ``|- C``)
+    whose every piece is a key is built from the dict's formulas, with no
+    tokenizing.  That is sound because no canonical text contains ``", "``
+    or ``"|-"``, so the pieces are where the parser would split, and each
+    parses back to the formula that printed it.  Any other text goes to the
+    parser, which records every node it builds, so every result, error
+    message and position is the parser's."""
+    left, turnstile, right = text.partition("|-")
+    if turnstile and (not left or left[-1] == " ") and (left or right) and right[:1] in ("", " "):
+        get = formulas.get
+        succedent = get(right[1:]) if right else None
+        if succedent is not None or not right:
+            antecedent = []
+            for piece in left[:-1].split(", ") if left else ():
+                f = get(piece)
+                if f is None:
+                    break
+                antecedent.append(f)
+            else:
+                return Sequent(antecedent, succedent)
+    return _parse_sequent(text, formulas, True)
 
 
 # ---------------------------------------------------------------------------

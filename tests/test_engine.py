@@ -602,6 +602,23 @@ def test_extraction_on_queries_like_the_benchmarks(mode, provable, sums, rules):
 
 
 @pytest.mark.parametrize("mode", ["tennant", "strict-table"])
+def test_derivation_nodes_equal_the_checking_constructor(mode):
+    # _goal_sequent takes interned antecedents as they are, in rank order;
+    # Sequent deduplicates and sorts them, and must find nothing to change
+    nodes = 0
+    for goal in _decide_draws(11, 2000):
+        res = Engine(mode).decide(goal)
+        todo = [res.derivation] if res.is_provable else []
+        while todo:
+            node = todo.pop()
+            c = node.conclusion
+            assert c == Sequent(reversed(c.antecedent), c.succedent), print_sequent(c)
+            nodes += 1
+            todo.extend(node.premises)
+    assert nodes > 500
+
+
+@pytest.mark.parametrize("mode", ["tennant", "strict-table"])
 def test_extraction_needs_no_recursion(mode):
     # |- p -> p -> ... -> p with 600 arrows has a derivation 600 nodes
     # deep, beyond what a recursive walk reaches under Python's default

@@ -394,6 +394,44 @@ def test_deep_derivation_loads_checks_and_serializes():
     assert nodes == 2 * depth + 1
 
 
+def _formulas_below(s):
+    """Every formula object inside the sequent's formulas, by text."""
+    found = {}
+    for f in s.antecedent + ((s.succedent,) if s.succedent is not None else ()):
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            found.setdefault(g.text, set()).add(id(g))
+            stack += [g.sub] if isinstance(g, Neg) else [] if isinstance(g, Atom) else [g.left, g.right]
+    return found
+
+
+@pytest.mark.parametrize("goal", ["|- ~A -> (A -> B)", "|- p -> p -> p -> p", "~A -> (A -> B), ~A, A |- B"])
+def test_premises_share_the_root_formulas(goal):
+    # every premise formula of a canonical derivation is a subformula of the
+    # root, and the loader builds it once: the premise holds the very object
+    d = derivation_from_json(derivation_to_json(coreseq.engine.Engine().decide(S(goal)).derivation))
+    root = _formulas_below(d.conclusion)
+    shared = 0
+    stack = list(d.premises)
+    while stack:
+        node = stack.pop()
+        c = node.conclusion
+        for f in c.antecedent + ((c.succedent,) if c.succedent is not None else ()):
+            assert id(f) in root[f.text], f.text
+            shared += 1
+        stack += node.premises
+    assert shared >= 3
+
+
+def test_chain_derivation_400_levels_deep_loads_and_checks():
+    goal = S("|- " + " -> ".join(["p"] * 401))
+    d = coreseq.engine.Engine().decide(goal).derivation
+    loaded = derivation_from_json(derivation_to_json(d))
+    assert loaded == d and height(loaded) == 400
+    assert check_derivation(loaded) is None
+
+
 def test_deep_derivations_print_copy_and_pickle_without_recursion():
     def recursive_repr(d):
         # the dataclass-style text the explicit stack must reproduce

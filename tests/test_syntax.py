@@ -32,7 +32,14 @@ from coreseq import (
     sequent_weight,
     weight,
 )
-from coreseq.syntax import antecedent_key, formula_key, is_subformula_closed, subformulas
+from coreseq.syntax import (
+    _parse_sequent_shared,
+    antecedent_key,
+    formula_key,
+    is_subformula_closed,
+    ordered_sequent,
+    subformulas,
+)
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 A, B = Atom("A"), Atom("B")
@@ -256,6 +263,83 @@ def test_parser_agrees_with_the_reference_on_printed_sequents(seed):
     _agree_with_reference(text)
 
 
+# -- parsing over shared formulas --------------------------------------------
+
+
+def _known(*sequents):
+    """A dict as the derivation loader keeps it: every subformula of the
+    sequents under its canonical text."""
+    known = {}
+    for s in sequents:
+        for f in s.antecedent + ((s.succedent,) if s.succedent is not None else ()):
+            known.update((g.text, g) for g in subformulas(f))
+    return known
+
+
+def _respell(text, rng):
+    """The same sequent with random aliases, spacing and extra parentheses
+    around whole formulas."""
+    left, _, right = text.partition("|-")
+    pieces = [f"({t})" if rng.random() < 0.3 else t for t in left.strip().split(", ") if t]
+    if right.strip() and rng.random() < 0.3:
+        right = f" (({right.strip()}))"
+    tokens = re.findall(r"\|-|->|\w+|\S", ", ".join(pieces) + " |-" + right)
+    return rng.choice(_SPACES) + "".join(
+        (_ALIASES[t] if t in _ALIASES and rng.random() < 0.5 else t) + rng.choice(_SPACES)
+        for t in tokens
+    )
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 10**9))
+def test_shared_parse_matches_the_parser(seed):
+    """With a dict that already holds every subformula, canonical text is
+    built from the dict's formulas and any other spelling (aliases, spacing,
+    parentheses, duplicate or reordered antecedents) still parses to what
+    `parse_sequent` gives."""
+    rng = random.Random(seed)
+    ant = [random_formula(rng, ["p", "q", "r1"], 7) for _ in range(rng.randint(0, 3))]
+    succ = None if ant and rng.random() < 0.3 else random_formula(rng, ["p", "q", "r1"], 7)
+    s = Sequent(ant, succ)
+    canonical = print_sequent(s)
+    known = _known(s)
+    shared = _parse_sequent_shared(canonical, known)
+    assert shared == parse_sequent(canonical) == s
+    assert all(f is known[f.text] for f in shared.antecedent)
+    assert succ is None or shared.succedent is known[succ.text]
+    pieces = [f.text for f in ant] + [f.text for f in ant if rng.random() < 0.5]
+    rng.shuffle(pieces)
+    listed = ", ".join(pieces) + (" |-" if succ is None else f" |- {succ.text}")
+    for text in (listed.lstrip(), _respell(canonical, rng), _respell(listed, rng)):
+        assert _parse_sequent_shared(text, _known(s)) == parse_sequent(text) == s, text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # rejected: the same message and position as parse_sequent
+        "|-", "", " |- ", "p |- q |- r", "p,, q |- r", "p | - q", "p, |- q", "p, q, |-", "|- p,",
+        "p, |-", "p |- q,", ", p |- q", "p q |- r", "(p |- q", "p |-- q", "p ||- q", "p\t|- q |- r",
+        # accepted: near the printed form, but not in it
+        "pq|- r", "p |-qq", "qp, p |- q", "p,q |- r", "p ,q |- r", "p, q |-r", "(p) |- q", "p  |- q",
+    ],
+)
+def test_shared_parse_agrees_with_the_parser_on_edge_texts(text):
+    known = _known(parse_sequent("p, q |- r"))
+    assert _outcome(lambda t: _parse_sequent_shared(t, known), text) == _outcome(parse_sequent, text)
+
+
+def test_shared_parse_records_what_it_parses():
+    known = {}
+    first = _parse_sequent_shared("~p, p -> q |- q & ~p", known)
+    assert set(known) == {"p", "q", "~p", "p -> q", "q & ~p"}
+    # a later text over known formulas is built from them
+    later = _parse_sequent_shared("p -> q, ~p |-", known)
+    assert later == parse_sequent("~p, p -> q |-")
+    assert later.antecedent[0] is known["p -> q"] and later.antecedent[1] is known["~p"]
+    assert first.antecedent[0] is known["p -> q"]
+
+
 # -- printing ---------------------------------------------------------------
 
 
@@ -352,6 +436,14 @@ def test_sequent_dedupes_and_orders_its_antecedent():
     assert Sequent((f for f in [q]), None).antecedent == (q,)
     assert Sequent(iter(()), q).antecedent == ()
     assert type(Sequent([q, p], None).antecedent) is tuple
+
+
+def test_ordered_sequent_takes_its_antecedent_as_it_is():
+    ordered = (Imp(p, q), Neg(q), p)
+    s = ordered_sequent(ordered, r)
+    assert s == Sequent(ordered, r) and hash(s) == hash(Sequent(ordered, r))
+    assert s.antecedent is ordered and s.succedent is r
+    assert ordered_sequent((), None) == Sequent((), None)
 
 
 def test_sequent_keyword_construction():
