@@ -50,12 +50,8 @@ from .engine import (
     decide,
 )
 from .closure import forward_closure
-from .intuitionistic import (
-    IntProver,
-    KripkeModel,
-    countermodel,
-    decide_int,
-)
+from .g4ip import IntProver, decide_int
+from .kripke import KripkeModel, countermodel
 from .admissibility import (
     AdmissibilityVerdict,
     CrossCheckReport,

@@ -13,9 +13,9 @@ bounded family, the verdict is:
 
 Verdicts carry re-checkable witnesses, minimal-weight first.
 
-`cross_check` and `theoremhood_report` compare the Core engine with the
-intuitionistic oracle over a bounded family.  This module is where the
-two meet: neither oracle imports the other.
+`cross_check` and `theoremhood_report` compare the Core engine with G4ip
+(`g4ip`), the intuitionistic oracle, over a bounded family.  This module is
+where the two meet: neither oracle imports the other.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator, Optional
 
 from .engine import Engine
-from .intuitionistic import IntProver
+from .g4ip import IntProver
 from .syntax import (
     And,
     Atom,

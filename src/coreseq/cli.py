@@ -36,7 +36,7 @@ from .admissibility import (
     weakening_transform,
 )
 from .engine import DEFAULT_MEMO_CAP, Engine, Provable
-from .intuitionistic import decide_int
+from .g4ip import decide_int
 from .kernel import (
     FIXTURE_NAMES,
     MODES,

@@ -1,16 +1,9 @@
-"""Independent intuitionistic oracle.
+"""Bounded Kripke countermodels: an intuitionistic oracle by semantics.
 
-Derivability is decided with a contraction-free calculus in the G4ip
-style: the left-conditional rule splits into four cases by the shape of
-the conditional's antecedent, so backward search terminates without
-loop checking.  Negation is translated as implication into a reserved
-falsum constant, and an absurdity-marker succedent is decided as "the
-antecedent is inconsistent".
-
-Bounded Kripke countermodel search (finite rooted partial orders with
-persistent valuations) provides a second, semantic route to
-unprovability.  It forces one frame against all of its valuations at once:
-a subformula's forcing at a world is an int with one bit per assignment of
+Finite rooted partial orders with persistent valuations give a semantic
+route to unprovability, independent of the G4ip prover in `g4ip`.  The
+search forces one frame against all of its valuations at once: a
+subformula's forcing at a world is an int with one bit per assignment of
 upsets to atoms, built bottom-up from its children's ints by bitwise
 operations, so the search builds no model per valuation and does not
 recurse on formula depth.  Bitsets stop at ASSIGNMENT_WIDTH bits; atoms
@@ -18,8 +11,8 @@ beyond them are enumerated outside.  `KripkeModel.forces` evaluates one
 model pointwise, also without recursion, and shares no code with the
 search, so it can re-check what the search returns.
 
-The module imports only `syntax`, so neither G4ip nor the Kripke search
-shares code with the Core engine they are compared against.
+The module imports only `syntax`, so the Kripke search shares no code
+with the Core engine, the forward closure or G4ip.
 """
 
 from __future__ import annotations
@@ -31,145 +24,6 @@ from typing import Iterable, Optional
 
 from .syntax import And, Atom, Formula, Imp, Neg, Or, Sequent
 
-# ---------------------------------------------------------------------------
-# Contraction-free prover
-
-
-class IntProver:
-    """Decision procedure for propositional intuitionistic derivability.
-
-    Formulas are interned to integer ids; antecedents are sorted id
-    multisets.  Verdicts are memoized and shared across queries.  Not
-    thread-safe: one instance serves one thread, and its caller owns it.
-    """
-
-    def __init__(self):
-        self._ids: dict[tuple, int] = {}
-        self._kind: list[str] = []
-        self._left: list = []
-        self._right: list = []
-        # keyed by canonical text, the formula's identity, whose str hash
-        # is cached
-        self._formula_ids: dict[str, int] = {}
-        self._memo: dict[tuple, bool] = {}
-        self._bot = self._node(("bot", None, None))
-
-    def _node(self, key: tuple) -> int:
-        i = self._ids.get(key)
-        if i is None:
-            i = len(self._kind)
-            self._ids[key] = i
-            self._kind.append(key[0])
-            self._left.append(key[1])
-            self._right.append(key[2])
-        return i
-
-    def _translate(self, f: Formula) -> int:
-        i = self._formula_ids.get(f.text)
-        if i is not None:
-            return i
-        if isinstance(f, Atom):
-            i = self._node(("atom", f.name, None))
-        elif isinstance(f, Neg):
-            i = self._node(("imp", self._translate(f.sub), self._bot))
-        elif isinstance(f, And):
-            i = self._node(("and", self._translate(f.left), self._translate(f.right)))
-        elif isinstance(f, Or):
-            i = self._node(("or", self._translate(f.left), self._translate(f.right)))
-        else:
-            i = self._node(("imp", self._translate(f.left), self._translate(f.right)))
-        self._formula_ids[f.text] = i
-        return i
-
-    def decide(self, s: Sequent) -> bool:
-        ants = tuple(sorted(self._translate(f) for f in s.antecedent))
-        goal = self._bot if s.succedent is None else self._translate(s.succedent)
-        return self._prove(ants, goal)
-
-    def _prove(self, ants: tuple[int, ...], goal: int) -> bool:
-        key = (ants, goal)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        result = self._step(ants, goal)
-        self._memo[key] = result
-        return result
-
-    def _step(self, ants: tuple[int, ...], goal: int) -> bool:
-        kind, left, right = self._kind, self._left, self._right
-
-        if self._bot in ants:
-            return True
-        if kind[goal] == "atom" and goal in ants:
-            return True
-
-        # invertible left rules, one step at a time
-        for i, a in enumerate(ants):
-            k = kind[a]
-            if k == "and":
-                rest = ants[:i] + ants[i + 1 :] + (left[a], right[a])
-                return self._prove(tuple(sorted(rest)), goal)
-            if k == "imp":
-                la = left[a]
-                lk = kind[la]
-                if lk == "bot":
-                    return self._prove(ants[:i] + ants[i + 1 :], goal)
-                if lk == "atom":
-                    if la in ants:
-                        rest = ants[:i] + ants[i + 1 :] + (right[a],)
-                        return self._prove(tuple(sorted(rest)), goal)
-                    continue
-                if lk == "and":
-                    curried = self._node(
-                        ("imp", left[la], self._node(("imp", right[la], right[a])))
-                    )
-                    rest = ants[:i] + ants[i + 1 :] + (curried,)
-                    return self._prove(tuple(sorted(rest)), goal)
-                if lk == "or":
-                    rest = ants[:i] + ants[i + 1 :] + (
-                        self._node(("imp", left[la], right[a])),
-                        self._node(("imp", right[la], right[a])),
-                    )
-                    return self._prove(tuple(sorted(rest)), goal)
-
-        # invertible right rules
-        gk = kind[goal]
-        if gk == "imp":
-            rest = tuple(sorted(ants + (left[goal],)))
-            return self._prove(rest, right[goal])
-        if gk == "and":
-            return self._prove(ants, left[goal]) and self._prove(ants, right[goal])
-
-        # disjunction on the left branches but is still invertible
-        for i, a in enumerate(ants):
-            if kind[a] == "or":
-                rest1 = tuple(sorted(ants[:i] + ants[i + 1 :] + (left[a],)))
-                rest2 = tuple(sorted(ants[:i] + ants[i + 1 :] + (right[a],)))
-                return self._prove(rest1, goal) and self._prove(rest2, goal)
-
-        # choice points: right disjunction and nested conditionals
-        if gk == "or":
-            if self._prove(ants, left[goal]) or self._prove(ants, right[goal]):
-                return True
-        for i, a in enumerate(ants):
-            if kind[a] == "imp" and kind[left[a]] == "imp":
-                c, d, b = left[left[a]], right[left[a]], right[a]
-                rest = ants[:i] + ants[i + 1 :]
-                first = tuple(sorted(rest + (self._node(("imp", d, b)),)))
-                if self._prove(first, left[a]) and self._prove(
-                    tuple(sorted(rest + (b,))), goal
-                ):
-                    return True
-        return False
-
-
-def decide_int(s: Sequent, prover: Optional[IntProver] = None) -> bool:
-    """True iff the sequent is intuitionistically derivable."""
-    return (prover or IntProver()).decide(s)
-
-
-# ---------------------------------------------------------------------------
-# Kripke countermodels
 
 #: Widest valuation bitset, in bits.  On a frame with U upsets the trailing
 #: m atoms, for the largest m with U^m at most this width, share one
@@ -231,9 +85,6 @@ class KripkeModel:
                 if not self.valuation[u] <= self.valuation[v]:
                     raise ValueError(f"valuation is not persistent along {u} <= {v}")
 
-    def above(self, w: int) -> list[int]:
-        return [v for v in self.worlds if (w, v) in self.order]
-
     def forces(self, w: int, f: Formula) -> bool:
         """Whether world w forces f, by the forcing clauses applied at one
         world of this one model at a time.  An explicit stack of (world,
@@ -242,7 +93,7 @@ class KripkeModel:
         code."""
         if w not in self.worlds:
             raise ValueError(f"world {w!r} is not in this model")
-        above = {u: self.above(u) for u in self.worlds}
+        above = _frame_above(tuple(self.worlds), frozenset(self.order))
         known: dict[tuple[int, Formula], bool] = {}
         stack = [(w, f)]
         while stack:

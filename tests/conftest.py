@@ -5,7 +5,7 @@ import random
 
 from coreseq import And, Atom, Imp, KripkeModel, Neg, Or, ParseError, Sequent
 from coreseq.engine import backward_instances
-from coreseq.intuitionistic import _rooted_posets, _upsets
+from coreseq.kripke import _rooted_posets, _upsets
 from coreseq.syntax import Formula, Succedent, subformulas
 
 

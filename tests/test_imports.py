@@ -1,10 +1,13 @@
 """The oracles stay independent by module boundary: each base module may
 import only the coreseq modules listed here, besides the standard library.
-So the forward closure shares no code with the backward search, and G4ip
-and its Kripke models share none with the Core engine."""
+So the forward closure shares no code with the backward search, G4ip and
+the Kripke search share none with the Core engine, and G4ip and the Kripke
+search share none with each other.  Only the meeting points import
+several oracles."""
 
 import ast
 import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -17,8 +20,10 @@ BASES = {
     "kernel": {"syntax"},
     "engine": {"syntax", "kernel"},
     "closure": {"syntax", "kernel"},
-    "intuitionistic": {"syntax"},
+    "g4ip": {"syntax"},
+    "kripke": {"syntax"},
 }
+MEETING_POINTS = {"admissibility", "cli"}
 
 
 @pytest.mark.parametrize("name", list(BASES))
@@ -49,3 +54,19 @@ def test_one_resource_limit_error_class():
     from coreseq import closure, engine
 
     assert closure.ResourceLimitError is engine.ResourceLimitError is coreseq.ResourceLimitError
+
+
+def test_every_module_states_its_bases_or_is_a_meeting_point():
+    modules = {m.name for m in pkgutil.iter_modules(coreseq.__path__)}
+    assert modules == BASES.keys() | MEETING_POINTS
+
+
+def test_the_package_names_come_from_the_split_oracles_with_no_shim():
+    from coreseq import g4ip, kripke
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("coreseq.intuitionistic")
+    assert coreseq.IntProver is g4ip.IntProver
+    assert coreseq.decide_int is g4ip.decide_int
+    assert coreseq.countermodel is kripke.countermodel
+    assert coreseq.KripkeModel is kripke.KripkeModel

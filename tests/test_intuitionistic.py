@@ -26,8 +26,8 @@ from coreseq import (
     print_sequent,
     theoremhood_report,
 )
-from coreseq import intuitionistic
-from coreseq.intuitionistic import _frames, _rooted_posets, _upsets
+from coreseq import kripke
+from coreseq.kripke import _frames, _rooted_posets, _upsets
 
 S = parse_sequent
 F = parse_formula
@@ -184,7 +184,7 @@ def test_persistence_is_validated():
 def test_frame_checks_are_cached_but_persistence_is_not():
     # each distinct frame is checked once, and every model on it still has
     # its valuation checked
-    intuitionistic._frame_above.cache_clear()
+    kripke._frame_above.cache_clear()
     chain = ((0, 1), frozenset({(0, 0), (1, 1), (0, 1)}))
     for _ in range(3):
         KripkeModel(*chain, (frozenset(), frozenset({"p"})))
@@ -195,7 +195,7 @@ def test_frame_checks_are_cached_but_persistence_is_not():
         # a rejected frame is rejected again, never remembered as checked
         with pytest.raises(ValueError, match="reflexive"):
             KripkeModel((0, 1), frozenset({(0, 0), (0, 1)}), (frozenset(),) * 2)
-    info = intuitionistic._frame_above.cache_info()
+    info = kripke._frame_above.cache_info()
     assert (info.misses, info.currsize) == (1 + 3, 1)
 
 
@@ -237,10 +237,10 @@ def _same_as_reference(s, bound):
     return m
 
 
-@pytest.mark.parametrize("width", [1, 8, intuitionistic.ASSIGNMENT_WIDTH])
+@pytest.mark.parametrize("width", [1, 8, kripke.ASSIGNMENT_WIDTH])
 def test_countermodel_is_the_first_enumerated_model_at_bound_3(monkeypatch, width):
     # narrower widths move atoms from the bitsets to the outer enumeration
-    monkeypatch.setattr(intuitionistic, "ASSIGNMENT_WIDTH", width)
+    monkeypatch.setattr(kripke, "ASSIGNMENT_WIDTH", width)
     rng = random.Random(7301)
     found = 0
     for _ in range(300):
@@ -363,8 +363,8 @@ def _names_reached(function):
         names |= {*code.co_names, *code.co_varnames, *code.co_freevars, *code.co_cellvars}
         todo.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
         for name in code.co_names:
-            obj = inspect.unwrap(getattr(intuitionistic, name, None))
-            if inspect.isfunction(obj) and obj.__module__ == intuitionistic.__name__:
+            obj = inspect.unwrap(getattr(kripke, name, None))
+            if inspect.isfunction(obj) and obj.__module__ == kripke.__name__:
                 todo.append(obj.__code__)
     return names
 
