@@ -5,8 +5,10 @@ universe by applying the rules forwards, so it must agree with the
 backward engine on every query whose formulas come from that universe.
 It keeps its sets of antecedents as bitsets over the universe's subsets
 and joins a new sequent with a whole partner set in a few big-int
-operations.  It prunes nothing, and it imports only `syntax` and
-`kernel`, so it shares no code with the backward search.
+operations.  It applies neither of the engine's filters (classical
+validity, atom connectivity) and saturates only the admitted space, the
+sequents a capped query can reach; it imports only `syntax` and `kernel`,
+so it shares no code with the backward search.
 """
 
 from __future__ import annotations
@@ -42,38 +44,61 @@ def forward_closure(
 
     The sequent space is: antecedent a subset of the universe, succedent a
     universe member or the absurdity marker.  Saturation runs the rules
-    forwards to a fixpoint over that whole finite space (derivations of
-    in-space sequents never leave it, since every rule reads its material
-    from subformulas of its conclusion); the returned set is then filtered
-    to sequents within the weight cap, skipping heavier antecedents before
-    any `Sequent` is built.
+    forwards to a fixpoint over the admitted space: the sequents whose
+    formulas all lie in the subformula closure of the formulas of some
+    sequent within the weight cap (goal-directed restriction, as magic sets
+    do for deductive databases; F. Bancilhon, D. Maier, Y. Sagiv and
+    J. Ullman, "Magic sets and other strange ways to implement logic
+    programs", PODS 1986).  The returned set is then filtered to sequents
+    within the weight cap, skipping heavier antecedents before any
+    `Sequent` is built.
+
+    The restriction is sound and complete.  In each of the eleven rules
+    every premise formula is a subformula of a conclusion formula (the
+    fact that keeps a subformula-closed universe closed under premises),
+    so every sequent in a derivation of T lies over the subformula closure
+    of T's formulas, and the admitted space is closed under taking
+    premises.  A saturation that drops only conclusions outside the space
+    therefore derives exactly the derivable sequents inside it, and every
+    sequent within the cap is inside it.  The sequent's weight cannot stand
+    in for the space, since premises may be heavier than the cap: in
+    tennant mode every derivation of `q -> ~r, q, r |- ~q` (weight 8)
+    passes through `q -> ~r, ~r, r |- ~q` (weight 9).  An uncapped call
+    admits the whole space.
 
     With N universe formulas an antecedent is an N-bit mask, and a set of
     antecedents is a bitset over the 2**N masks: bit m is set when mask m
-    is in the set.  Each succedent (a universe index, or N for the
-    absurdity marker) keeps two such sets, `derived` (every sequent
-    emitted) and `joined` (every sequent already processed).  Processing a
-    sequent applies the one-premise rules to it alone and joins it, in
-    both premise roles, with whole partner sets: adding formula i to every
-    mask of a set moves the masks lacking i up by 2**i places, optionally
-    dropping i moves the masks holding it down, and the masks holding i are
-    the set ANDed with a fixed position mask.  Only the masks of a result
-    missing from the target's `derived` set are new; they count towards
-    `max_size` and wait to be processed.  Saturation ends when every
-    derived sequent has been joined (semi-naive evaluation, one sequent
-    against a whole set at a time; F. Bancilhon and R. Ramakrishnan, "An
-    amateur's introduction to recursive query processing strategies",
-    SIGMOD 1986).
+    is in the set.  The admitted space is one down-closed such set over
+    formula sets: the sets covered by some formula set of weight at most w
+    are built for w = 0, 1, ... up to the cap, and a cover holding formula
+    f covers X within w exactly when the rest of it covers X less the
+    subformulas of f within w - weight(f).  Each succedent s (a universe
+    index, or N for the absurdity marker) admits the antecedents m with
+    m plus s in that set, and keeps two more sets, `derived` (every
+    sequent emitted) and `joined` (every sequent already processed).
+    Processing a sequent applies the one-premise rules to it alone and
+    joins it, in both premise roles, with whole partner sets: adding
+    formula i to every mask of a set moves the masks lacking i up by 2**i
+    places, optionally dropping i moves the masks holding it down, and the
+    masks holding i are the set ANDed with a fixed position mask.  Only the
+    admitted masks of a result missing from the target's `derived` set are
+    new; they count towards `max_size` and wait to be processed.
+    Saturation ends when every derived sequent has been joined (semi-naive
+    evaluation, one sequent against a whole set at a time; F. Bancilhon
+    and R. Ramakrishnan, "An amateur's introduction to recursive query
+    processing strategies", SIGMOD 1986).
 
-    Cost: 2(N+1) bitsets of 2**N bits plus N position masks, and per join
-    with a partner set four big-int operations per bit of the new mask and
-    up to seven more; the weight filter reads two tables of 2**(N/2)
-    entries.  Above
-    CLOSURE_FORMULA_CEILING formulas the universe is refused with
-    ResourceLimitError before any bitset is built.  `max_size` bounds the
-    number of derived sequents in the whole space, before the weight
-    filter: the call raises ResourceLimitError exactly when the closure is
-    larger.
+    Cost: 3(N+1) bitsets of 2**N bits plus N position masks.  Building
+    the admitted space keeps one bitset per weight up to the cap (or up to
+    the first weight that covers everything), and each costs three big-int
+    operations per subformula of each universe formula: there is no loop
+    over the masks.  Per join with a partner set, four big-int operations
+    per bit of the new mask and up to seven more; the weight filter reads
+    two tables of 2**(N/2) entries.  Above CLOSURE_FORMULA_CEILING
+    formulas the universe is refused with ResourceLimitError before any
+    bitset is built.  `max_size` bounds the number of sequents derived in
+    the admitted space, before the weight filter: the call raises
+    ResourceLimitError exactly when that number is larger.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -159,13 +184,32 @@ def forward_closure(
             at = digits.find("1", at + 1)
         return out
 
+    # covered[w]: the formula sets inside the subformula closure of some
+    # formula set of weight at most w; the admitted space is covered[cap]
+    subs = [[index[g] for g in subformulas(f)] for f in univ]
+    everything = (1 << (1 << n)) - 1
+    covered = [1]  # weight 0 covers the empty set alone
+    while covered[-1] != everything and len(covered) <= weight_cap:
+        w = len(covered)
+        layer = covered[-1]
+        for f, sub in zip(univ, subs):
+            if f.weight <= w:
+                masks = covered[w - f.weight]
+                for i in sub:
+                    masks = or_with(masks, i)
+                layer |= masks
+        covered.append(layer)
+    down = covered[-1]
+    # allowed[s]: the antecedents m with m, s admitted
+    allowed = [or_without(down & has[s], s) for s in range(n)] + [down]
+
     derived = [0] * (n + 1)   # succedent -> antecedent masks emitted
     joined = [0] * (n + 1)    # succedent -> antecedent masks processed
     size = 0
 
     def grow(succ: int, masks: int) -> None:
         nonlocal size
-        new = masks & ~derived[succ]
+        new = masks & allowed[succ] & ~derived[succ]
         if new:
             size += new.bit_count()
             if size > max_size:

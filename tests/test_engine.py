@@ -1138,19 +1138,24 @@ def test_closure_resource_cap():
         forward_closure(formula_universe(["p", "q"], 3), 6, max_size=10)
 
 
+def _seeded_universes(atoms, base, count, widest):
+    # (seed, its generator, universe) for the subformula closures of three
+    # random formulas of weight <= 5, skipping those over `widest` formulas
+    for seed in range(count):
+        rng = random.Random(base + seed)
+        seeds = [random_formula(rng, atoms, 5) for _ in range(3)]
+        universe = sorted({g for f in seeds for g in subformulas(f)}, key=str)
+        if len(universe) <= widest:
+            yield seed, rng, universe
+
+
 def test_closure_and_engine_agree_on_random_universes():
     # differential testing on randomly seeded subformula-closed universes,
     # in both modes, with the intuitionistic oracle as a third corner
     from coreseq import decide_int
-    from coreseq.syntax import subformulas
 
     checked = 0
-    for seed in range(60):
-        rng = random.Random(10_000 + seed)
-        seeds = [random_formula(rng, ["p", "q"], 5) for _ in range(3)]
-        universe = sorted({g for f in seeds for g in subformulas(f)}, key=str)
-        if len(universe) > 11:
-            continue
+    for seed, rng, universe in _seeded_universes(["p", "q"], 10_000, 60, 11):
         mode = rng.choice(("tennant", "strict-table"))
         closure = forward_closure(universe, 5, mode=mode, max_size=400_000)
         eng = Engine(mode)
@@ -1166,12 +1171,7 @@ def test_closure_and_engine_agree_on_random_universes():
 def test_closure_and_engine_agree_on_three_atom_universes():
     # the same three-cornered differential test over {p, q, r}
     checked = 0
-    for seed in range(40):
-        rng = random.Random(20_000 + seed)
-        seeds = [random_formula(rng, ["p", "q", "r"], 5) for _ in range(3)]
-        universe = sorted({g for f in seeds for g in subformulas(f)}, key=str)
-        if len(universe) > 12:
-            continue
+    for seed, rng, universe in _seeded_universes(["p", "q", "r"], 20_000, 40, 12):
         mode = rng.choice(("tennant", "strict-table"))
         closure = forward_closure(universe, 6, mode=mode)
         eng = Engine(mode)
@@ -1207,6 +1207,51 @@ def test_closure_cap_counts_the_whole_closure():
     assert forward_closure(universe, 10**6, max_size=len(closure)) == closure
     with pytest.raises(ResourceLimitError, match=f"cap of {len(closure) - 1} "):
         forward_closure(universe, 10**6, max_size=len(closure) - 1)
+
+
+_CRITERION_6_UNIVERSE = ("p", "q", "~p", "~q", "p & q", "p | q", "p -> q", "q -> p", "p -> p")
+
+
+def test_capped_closure_is_the_uncapped_closure_cut_at_the_cap():
+    # saturating only what a capped query can reach loses no sequent within
+    # the cap and adds none
+    cases = [([F(t) for t in _CRITERION_6_UNIVERSE], range(1, 16))]
+    for atoms, base, count, widest in ((["p", "q"], 10_000, 60, 11), (["p", "q", "r"], 20_000, 40, 12)):
+        cases += [(u, (4, 6, 8)) for _, _, u in _seeded_universes(atoms, base, count, widest)]
+    checked = 0
+    for universe, caps in cases:
+        for mode in ("tennant", "strict-table"):
+            whole = forward_closure(universe, 10**6, mode=mode)
+            for cap in caps:
+                checked += 1
+                cut = {s for s in whole if sequent_weight(s) <= cap}
+                assert forward_closure(universe, cap, mode=mode) == cut, (universe, mode, cap)
+    assert checked > 200
+
+
+def test_closure_reaches_a_sequent_through_a_heavier_premise():
+    # every derivation of this weight-8 sequent passes through
+    # q -> ~r, ~r, r |- ~q, of weight 9, so a closure cut at the cap's
+    # weight would miss it
+    goal = S("q -> ~r, q, r |- ~q")
+    universe = {g for f in [*goal.antecedent, goal.succedent] for g in subformulas(f)}
+    assert sequent_weight(goal) == 8
+    assert Engine().min_height(goal) == 4
+    assert goal in forward_closure(universe, 8)
+    assert goal not in forward_closure(universe, 8, mode="strict-table")
+
+
+def test_closure_cap_counts_the_admitted_space():
+    # under a cap, max_size bounds the sequents derived in the admitted
+    # space: 217 here, where the whole space holds 2,368
+    universe = [F(t) for t in _CRITERION_6_UNIVERSE]
+    closure = forward_closure(universe, 7)
+    assert forward_closure(universe, 7, max_size=217) == closure
+    with pytest.raises(ResourceLimitError, match="cap of 216 "):
+        forward_closure(universe, 7, max_size=216)
+    with pytest.raises(ResourceLimitError, match="cap of 2367 "):
+        forward_closure(universe, 10**6, max_size=2367)
+    assert len(forward_closure(universe, 10**6, max_size=2368)) > len(closure)
 
 
 def test_closure_refuses_universes_over_the_width_ceiling():
