@@ -30,12 +30,10 @@ from .syntax import (
     Atom,
     Formula,
     Sequent,
-    formula_key,
     formula_universe,
     print_formula,
     print_sequent,
     sequent_family,
-    sequent_weight,
     subformulas,
 )
 
@@ -125,9 +123,9 @@ class AdmissibilityVerdict(_FieldsJSON):
 
 
 def describe_universe(universe: Iterable[Formula], weight_cap: int) -> str:
-    pool = sorted(set(universe), key=formula_key)
-    atoms = sorted({g.name for f in pool for g in subformulas(f) if isinstance(g, Atom)})
-    maxw = max((formula_key(f)[0] for f in pool), default=0)
+    pool = set(universe)
+    atoms = sorted(g.name for g in subformulas(*pool) if isinstance(g, Atom))
+    maxw = max((f.weight for f in pool), default=0)
     return (
         f"atoms={{{','.join(atoms)}}} formulas={len(pool)} "
         f"formula_weight<={maxw} sequent_weight<={weight_cap}"
@@ -143,7 +141,7 @@ def test_admissibility(
 ) -> AdmissibilityVerdict:
     """Test one transform over every provable sequent in the bounded family."""
     eng = engine or Engine()
-    pool = sorted(set(universe), key=formula_key)
+    pool = set(universe)
     family = sequent_family(pool, weight_cap)
 
     counterexamples: list[Witness] = []
@@ -161,13 +159,11 @@ def test_admissibility(
         elif th > h:
             height_increases.append(Witness(s, h, t, True, th))
 
-    def ordered(ws: list[Witness]) -> list[Witness]:
-        return sorted(ws, key=lambda w: (sequent_weight(w.premise), print_sequent(w.premise)))
-
+    # the family is sorted, so the witnesses are in family order already
     if counterexamples:
-        status, witnesses = NOT_ADMISSIBLE, ordered(counterexamples)
+        status, witnesses = NOT_ADMISSIBLE, counterexamples
     elif height_increases:
-        status, witnesses = ADMISSIBLE, ordered(height_increases)
+        status, witnesses = ADMISSIBLE, height_increases
     else:
         status, witnesses = STRONGLY_ADMISSIBLE, []
     return AdmissibilityVerdict(
@@ -208,28 +204,29 @@ class TopEquivalenceReport:
         )
 
     def to_json(self) -> dict:
-        def entry(seq: Sequent, v):
-            return {
-                "sequent": print_sequent(seq),
-                "status": "provable" if v[0] else "unprovable",
-                "min_height": v[1],
-            }
-
-        return {
+        out = {
             "delta": print_formula(self.delta),
             "top": print_formula(self.top),
             "mode": self.mode,
-            "conjunction_intro": entry(
-                Sequent((self.delta,), And(self.top, self.delta)), self.conjunction_intro
-            ),
-            "conjunction_elim": entry(
-                Sequent((And(self.top, self.delta),), self.delta), self.conjunction_elim
-            ),
-            "set_form": entry(
-                Sequent((self.top, self.delta), self.delta), self.set_form
-            ),
             "summary": self.summary,
         }
+        for name, seq in _study_sequents(self.delta, self.top).items():
+            provable, h = getattr(self, name)
+            out[name] = {
+                "sequent": print_sequent(seq),
+                "status": "provable" if provable else "unprovable",
+                "min_height": h,
+            }
+        return out
+
+
+def _study_sequents(delta: Formula, top: Formula) -> dict[str, Sequent]:
+    """Each query field of the report, with the sequent it decides."""
+    return {
+        "conjunction_intro": Sequent((delta,), And(top, delta)),
+        "conjunction_elim": Sequent((And(top, delta),), delta),
+        "set_form": Sequent((top, delta), delta),
+    }
 
 
 def top_equivalence_study(delta: Formula, top: Formula, *, engine: Optional[Engine] = None) -> TopEquivalenceReport:
@@ -251,10 +248,8 @@ def top_equivalence_study(delta: Formula, top: Formula, *, engine: Optional[Engi
     return TopEquivalenceReport(
         delta=delta,
         top=top,
-        conjunction_intro=query(Sequent((delta,), And(top, delta))),
-        conjunction_elim=query(Sequent((And(top, delta),), delta)),
-        set_form=query(Sequent((top, delta), delta)),
         mode=eng.mode,
+        **{name: query(s) for name, s in _study_sequents(delta, top).items()},
     )
 
 

@@ -327,8 +327,10 @@ def _cmd_repro(args) -> int:
         "first_witness": verdict.witnesses[0].to_json() if verdict.witnesses else None,
         "evidence": "ltop-verdict.json",
     })
+    # re-ask an engine that did not produce the witnesses and so memoized none
+    recheck = fresh()
     for w in verdict.witnesses:
-        again = shared.min_height(w.transformed)
+        again = recheck.min_height(w.transformed)
         if (again is not None) != w.transformed_provable:
             raise _InternalDisagreement("admissibility witness does not re-verify")
 

@@ -24,7 +24,6 @@ from .syntax import (
     Or,
     Sequent,
     formula_key,
-    is_subformula_closed,
     print_formula,
     subformulas,
 )
@@ -93,23 +92,22 @@ def forward_closure(
     the first weight that covers everything), and each costs three big-int
     operations per subformula of each universe formula: there is no loop
     over the masks.  Per join with a partner set, four big-int operations
-    per bit of the new mask and up to seven more; the weight filter reads
-    two tables of 2**(N/2) entries.  Above CLOSURE_FORMULA_CEILING
-    formulas the universe is refused with ResourceLimitError before any
-    bitset is built.  `max_size` bounds the number of sequents derived in
-    the admitted space, before the weight filter: the call raises
-    ResourceLimitError exactly when that number is larger.
+    per bit of the new mask and up to seven more; the weight filter sums
+    the formula weights of each derived antecedent.  Above
+    CLOSURE_FORMULA_CEILING formulas the universe is refused with
+    ResourceLimitError before any bitset is built.  `max_size` bounds the
+    number of sequents derived in the admitted space, before the weight
+    filter: the call raises ResourceLimitError exactly when that number is
+    larger.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     univ = sorted(set(universe), key=formula_key)
-    if not is_subformula_closed(univ):
-        missing = sorted(
-            {g for f in univ for g in subformulas(f)} - set(univ), key=formula_key
-        )
+    missing = subformulas(*univ) - set(univ)
+    if missing:
         raise ValueError(
             "universe is not subformula-closed; missing: "
-            + ", ".join(print_formula(m) for m in missing)
+            + ", ".join(print_formula(m) for m in sorted(missing, key=formula_key))
         )
     n = len(univ)
     if n > CLOSURE_FORMULA_CEILING:
@@ -295,20 +293,12 @@ def forward_closure(
                 unary(mask, succ)
                 combine(mask, succ)
 
-    # antecedent weight by mask, looked up in two halves of the universe
-    half = n // 2
-    low_bits = (1 << half) - 1
-    low_weight, high_weight = [0], [0]
-    for f in univ[:half]:
-        low_weight += [w + f.weight for w in low_weight]
-    for f in univ[half:]:
-        high_weight += [w + f.weight for w in high_weight]
     out = []
     for succ in range(n + 1):
         formula = None if succ == ABS else univ[succ]
         budget = weight_cap - (0 if formula is None else formula.weight)
         for mask in members(derived[succ]):
-            if low_weight[mask & low_bits] + high_weight[mask >> half] <= budget:
-                ant = tuple(univ[i] for i in range(n) if mask >> i & 1)
+            ant = [f for f, b in zip(univ, bit) if mask & b]
+            if sum([f.weight for f in ant]) <= budget:
                 out.append(Sequent(ant, formula))
     return frozenset(out)

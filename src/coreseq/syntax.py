@@ -516,9 +516,10 @@ def formula_universe(atoms: Iterable[str], max_weight: int) -> list[Formula]:
     return out
 
 
-def subformulas(f: Formula) -> frozenset[Formula]:
+def subformulas(*formulas: Formula) -> frozenset[Formula]:
+    """Every subformula of any of the formulas, in one walk."""
     acc: set[Formula] = set()
-    stack = [f]
+    stack = list(formulas)
     while stack:
         g = stack.pop()
         if g in acc:
@@ -534,7 +535,7 @@ def subformulas(f: Formula) -> frozenset[Formula]:
 
 def is_subformula_closed(universe: Iterable[Formula]) -> bool:
     u = set(universe)
-    return all(subformulas(f) <= u for f in u)
+    return subformulas(*u) <= u
 
 
 def sequent_family(universe: Iterable[Formula], weight_cap: int) -> list[Sequent]:

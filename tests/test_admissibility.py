@@ -10,16 +10,21 @@ import coreseq
 from coreseq import (
     Atom,
     Engine,
+    Or,
+    Sequent,
     formula_universe,
     identity_transform,
     l_top_transform,
     parse_formula,
     parse_sequent,
     print_sequent,
+    sequent_family,
     weakening_transform,
 )
 from coreseq.admissibility import (
+    ADMISSIBLE,
     NOT_ADMISSIBLE,
+    RuleTransform,
     STRONGLY_ADMISSIBLE,
     test_admissibility as run_admissibility,
     top_equivalence_study,
@@ -73,6 +78,43 @@ def test_witnesses_are_minimal_weight_first_and_reverify():
         th = eng.min_height(w.transformed)
         assert (th is not None) == w.transformed_provable
         assert th == w.transformed_min_height
+
+
+def _family_witnesses(transform, universe, cap, wanted):
+    # the provable family members, in family order, whose transform's
+    # minimal height (None when underivable) satisfies `wanted`
+    eng, out = Engine(), []
+    for s in sequent_family(universe, cap):
+        h = eng.min_height(s)
+        if h is not None and wanted(h, eng.min_height(transform.apply(s))):
+            out.append(s)
+    return out
+
+
+def test_a_taller_but_derivable_transform_is_admissible():
+    # ROrSelf concludes A | A from A, one step taller, and leaves sequents
+    # ending in the absurdity marker as they are
+    ror_self = RuleTransform(
+        "ROrSelf",
+        lambda s: s if s.succedent is None else Sequent(s.antecedent, Or(s.succedent, s.succedent)),
+    )
+    universe = formula_universe(("p", "q"), 3)
+    verdict = run_admissibility(ror_self, universe, 4)
+    assert verdict.status == ADMISSIBLE
+    assert (len(verdict.witnesses), verdict.provable_tested) == (24, 28)
+    first = verdict.witnesses[0]
+    assert (print_sequent(first.premise), print_sequent(first.transformed)) == ("p |- p", "p |- p | p")
+    assert (first.premise_min_height, first.transformed_min_height) == (0, 1)
+    assert all(w.transformed_provable for w in verdict.witnesses)
+    taller = _family_witnesses(ror_self, universe, 4, lambda h, th: th is not None and th > h)
+    assert [w.premise for w in verdict.witnesses] == taller
+
+
+def test_counterexamples_are_in_family_order():
+    transform, universe = l_top_transform(TOP), formula_universe(("p", "q"), 3)
+    verdict = run_admissibility(transform, universe, 4)
+    underivable = _family_witnesses(transform, universe, 4, lambda h, th: th is None)
+    assert [w.premise for w in verdict.witnesses] == underivable
 
 
 def test_verdict_never_upgrades_as_universe_grows():

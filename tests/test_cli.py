@@ -8,18 +8,21 @@ import time
 import pytest
 
 from coreseq import (
+    Derivation,
     Engine,
     Provable,
     cross_check,
     fixture_path,
     formula_universe,
     forward_closure,
+    height,
     load_derivation,
     parse_sequent,
     print_sequent,
     theoremhood_report,
 )
 from coreseq import cli
+from coreseq.admissibility import Witness
 from coreseq.cli import main
 
 
@@ -211,6 +214,14 @@ def test_check_valid_fixture(capsys):
     assert "valid" in err
 
 
+def test_check_json_on_a_valid_derivation(capsys):
+    path = fixture_path("d2")
+    d = load_derivation(path)
+    code, out, _ = run(capsys, "check", str(path), "--json")
+    assert code == 0
+    assert json.loads(out) == {"status": "valid", "height": height(d), "conclusion": print_sequent(d.conclusion)}
+
+
 def test_check_rejected_fixture(capsys):
     code, out, err = run(capsys, "check", str(fixture_path("d1-full-with-ltop")), "--json")
     assert code == 1
@@ -345,6 +356,58 @@ def test_repro_disagreement_exits_3_and_writes_nothing(capsys, monkeypatch, tmp_
     assert code == 3
     assert text == ""
     assert err == "coreseq: internal disagreement: reported minimal height 4 does not match the witness\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda eng, goal, res: Provable(Derivation(goal, "Ax"), res.min_height, res.stats),
+         "engine derivation for |- ~A -> A -> B fails the checker: Ax requires a singleton antecedent"),
+        (lambda eng, goal, res: Engine.decide(eng, parse_sequent("p |- p")),
+         "engine derivation concludes p |- p, not |- ~A -> A -> B"),
+        (lambda eng, goal, res: Provable(res.derivation, res.min_height + 1, res.stats),
+         "reported minimal height 4 does not match the witness"),
+    ],
+    ids=["rejected-derivation", "other-conclusion", "height-off-by-one"],
+)
+def test_repro_rechecks_every_engine_answer(capsys, monkeypatch, tmp_path, tamper, message):
+    # `repro` builds its engines from `cli.Engine`; this one tampers with
+    # every provable answer
+    class Mutant(Engine):
+        def decide(self, goal):
+            res = super().decide(goal)
+            return tamper(self, goal, res) if isinstance(res, Provable) else res
+
+    monkeypatch.setattr(cli, "Engine", Mutant)
+    out = tmp_path / "r"
+    code, text, err = run(capsys, "repro", "--out", str(out))
+    assert code == 3
+    assert text == ""
+    assert err == f"coreseq: internal disagreement: {message}\n"
+    assert not out.exists()
+
+
+def test_repro_reverifies_witnesses_on_an_engine_that_did_not_produce_them(capsys, monkeypatch, tmp_path):
+    # the first L-top witness is swapped for a false claim that the provable
+    # p -> p, p |- p is underivable, and the engine that tested the family
+    # is made to hold the same false verdict in its memo
+    test_admissibility = cli.test_admissibility
+    lie = parse_sequent("p -> p, p |- p")
+
+    def lying(transform, universe, cap, *, engine):
+        verdict = test_admissibility(transform, universe, cap, engine=engine)
+        if transform.name.startswith("LTop"):
+            verdict.witnesses[0] = Witness(parse_sequent("p |- p"), 0, lie, False, None)
+            engine._heights[engine._intern_goal(lie)] = None
+        return verdict
+
+    monkeypatch.setattr(cli, "test_admissibility", lying)
+    out = tmp_path / "r"
+    code, text, err = run(capsys, "repro", "--out", str(out))
+    assert code == 3
+    assert text == ""
+    assert err == "coreseq: internal disagreement: admissibility witness does not re-verify\n"
     assert not out.exists()
 
 

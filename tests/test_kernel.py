@@ -1,6 +1,7 @@
 import ast
 import copy
 import pickle
+import re
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,70 @@ def test_rimpb_optional_discharge():
     # the conclusion may never keep it
     v = check_rule(S("A |- A -> A"), "RImpB", [S("A |- A")])
     assert v is not None
+
+
+# One minimal instance per rejection clause of `check_rule`:
+# (clause, conclusion, rule, premises, mode).
+_CLAUSE_INSTANCES = [
+    ("ax-succedent", "p |-", "Ax", [], "tennant"),
+    ("ax-singleton", "p, q |- p", "Ax", [], "tennant"),
+    ("ax-mismatch", "q |- p", "Ax", [], "tennant"),
+    ("lneg-conclusion", "~p, p |- p", "LNeg", ["p |- p"], "tennant"),
+    ("lneg-premise", "~p, p |-", "LNeg", ["~p, p |-"], "tennant"),
+    ("lneg-antecedent", "~q, p |-", "LNeg", ["p |- p"], "tennant"),
+    ("rneg-conclusion", "p |- p", "RNeg", ["p |-"], "tennant"),
+    ("rneg-premise", "|- ~p", "RNeg", ["p |- p"], "tennant"),
+    ("rneg-retained", "p |- ~p", "RNeg", ["p |-"], "tennant"),
+    ("rneg-antecedent", "~q |- ~p", "RNeg", ["p |-"], "tennant"),
+    ("land-strict-succedent", "p & q, ~p |-", "LAnd", ["p, ~p |-"], "strict-table"),
+    ("land-succedent", "p & q |- p", "LAnd", ["p |- q"], "tennant"),
+    ("land-no-principal", "p |- p", "LAnd", ["p |- p"], "tennant"),
+    ("land-side-condition", "p & q, r |- r", "LAnd", ["r |- r"], "tennant"),
+    ("land-antecedent", "p & q |- p", "LAnd", ["p, r |- p"], "tennant"),
+    ("rand-conclusion", "p |- p", "RAnd", ["p |- p", "p |- p"], "tennant"),
+    ("rand-left-premise", "p |- p & q", "RAnd", ["p |- q", "p |- q"], "tennant"),
+    ("rand-right-premise", "p |- p & q", "RAnd", ["p |- p", "p |- p"], "tennant"),
+    ("rand-antecedent", "p |- p & q", "RAnd", ["p |- p", "q |- q"], "tennant"),
+    ("lor-premise-agreement", "p | q |- p", "LOr", ["p |- p", "q |- q"], "tennant"),
+    ("lor-succedent", "p | q |- q", "LOr", ["p |- p", "q |- p"], "tennant"),
+    ("lor-schema", "p | q |- p", "LOr", ["q |- p", "p |- p"], "tennant"),
+    ("ror-conclusion", "p |- p", "ROr1", ["p |- p"], "tennant"),
+    ("ror-premise", "p |- q | p", "ROr1", ["p |- p"], "tennant"),
+    ("ror-antecedent", "p |- p | q", "ROr1", ["p, q |- p"], "tennant"),
+    ("limp-strict-succedent", "p -> q, p, ~q |-", "LImp", ["p |- p", "q, ~q |-"], "strict-table"),
+    ("limp-minor", "p -> q, p |- q", "LImp", ["p, ~p |-", "q |- q"], "tennant"),
+    ("limp-succedent", "p -> q, p |- q", "LImp", ["p |- p", "q |- p"], "tennant"),
+    ("limp-schema", "p -> q, p |- q", "LImp", ["q |- q", "q |- q"], "tennant"),
+    ("rimpa-conclusion", "p |- p", "RImpA", ["p |-"], "tennant"),
+    ("rimpa-premise", "|- p -> q", "RImpA", ["p |- q"], "tennant"),
+    ("rimpa-antecedent", "|- p -> q", "RImpA", ["q, ~q |-"], "tennant"),
+    ("rimpb-conclusion", "p |- p", "RImpB", ["p |- p"], "tennant"),
+    ("rimpb-premise", "|- p -> q", "RImpB", ["p |- p"], "tennant"),
+    ("rimpb-antecedent", "p |- p -> q", "RImpB", ["p |- q"], "tennant"),
+    ("unknown-rule", "p |- p", "Cut", [], "tennant"),
+    ("arity", "p |- p", "Ax", ["p |- p"], "tennant"),
+]
+
+
+@pytest.mark.parametrize(
+    "clause, conclusion, rule, premises, mode", _CLAUSE_INSTANCES, ids=[row[0] for row in _CLAUSE_INSTANCES]
+)
+def test_rejection_clause_instance(clause, conclusion, rule, premises, mode):
+    v = check_rule(S(conclusion), rule, [S(p) for p in premises], mode)
+    assert v is not None and v.clause == clause
+
+
+def test_every_rejection_clause_has_an_instance():
+    # every clause id the kernel can return has exactly one row above
+    source = Path(coreseq.kernel.__file__).read_text(encoding="utf-8")
+    clauses = re.findall(r'Violation\(\s*"([^"]+)"', source)
+    assert len(clauses) == len(set(clauses))
+    assert sorted(clauses) == sorted(row[0] for row in _CLAUSE_INSTANCES)
+
+
+def test_check_rule_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        check_rule(S("p |- p"), "Ax", [], mode="bogus")
 
 
 # -- check_derivation -------------------------------------------------------

@@ -625,6 +625,13 @@ def test_formula_universe_subformula_closed():
     }
 
 
+def test_subformulas_of_several_formulas_is_their_union():
+    fs = [parse_formula(t) for t in ("~A -> (A -> B)", "A & C", "A")]
+    assert subformulas(*fs) == subformulas(fs[0]) | subformulas(fs[1]) | subformulas(fs[2])
+    assert subformulas() == frozenset()
+    assert not is_subformula_closed([fs[1]])
+
+
 @pytest.mark.parametrize(
     "cap, size, digest",
     [
