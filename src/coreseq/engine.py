@@ -360,6 +360,8 @@ class _FormulaTable:
     bit k set when formula i mentions atom k; it has no ceiling.
     """
 
+    __slots__ = ("by_text", "obj", "kind", "left", "right", "rank", "truth", "atom_bits", "atoms", "full")
+
     def __init__(self):
         self.by_text: dict[str, int] = {}
         self.obj: list[Formula] = []
@@ -490,6 +492,8 @@ class Engine:
     Not thread-safe: one instance serves one thread, and its caller owns it.
     """
 
+    __slots__ = ("mode", "memo_cap", "_t", "_heights", "_floors")
+
     def __init__(self, mode: str = MODES[0], memo_cap: int = DEFAULT_MEMO_CAP):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
@@ -558,14 +562,21 @@ class Engine:
     def _intern_goal(self, s: Sequent) -> tuple:
         t = self._t
         held = len(t.obj)
+        known = t.by_text.get
         # a sequent keeps its antecedent in antecedent_key order, the rank
-        ants = tuple(t.intern(f) for f in s.antecedent)
-        succ = _ABSURD if s.succedent is None else t.intern(s.succedent)
+        ants = []
+        for f in s.antecedent:
+            i = known(f.text)
+            ants.append(t.intern(f) if i is None else i)
+        f = s.succedent
+        succ = _ABSURD if f is None else known(f.text)
+        if succ is None:
+            succ = t.intern(f)
         if held and not t.full:
             # earlier goals' atoms took the tables off: start over
             self._t, self._heights, self._floors = _FormulaTable(), {}, {}
             return self._intern_goal(s)
-        return (ants, succ)
+        return (tuple(ants), succ)
 
     def _goal_sequent(self, g: tuple) -> Sequent:
         obj = self._t.obj
@@ -578,9 +589,9 @@ class Engine:
     def _goal_weight(self, g: tuple) -> int:
         obj = self._t.obj
         ants, succ = g
-        total = sum(obj[i].weight for i in ants)
-        if succ != _ABSURD:
-            total += obj[succ].weight
+        total = 0 if succ == _ABSURD else obj[succ].weight
+        for i in ants:
+            total += obj[i].weight
         return total
 
     def _failing_rows(self, g: tuple) -> int:
@@ -642,15 +653,20 @@ class Engine:
         if not rows:
             return None
         t = self._t
-        truth, bits = t.truth, t.atom_bits
+        truth, bits, atoms, obj = t.truth, t.atom_bits, t.atoms, t.obj
         ants, succ = g
         mentioned = 0 if succ == _ABSURD else bits[succ]
         for a in ants:
             mentioned |= bits[a]
+        named = []
+        while mentioned:
+            low = mentioned & -mentioned
+            i = atoms[low.bit_length() - 1]
+            named.append((obj[i].name, i))
+            mentioned ^= low
+        named.sort()
         valuation = []
-        for name, i in sorted(
-            (t.obj[i].name, i) for k, i in enumerate(t.atoms) if mentioned >> k & 1
-        ):
+        for name, i in named:
             false_rows = rows & ~truth[i]
             if false_rows:
                 rows = false_rows

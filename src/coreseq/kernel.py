@@ -253,7 +253,8 @@ class Derivation(FrozenSlots):
     """A rule application and the derivations of its premises.
 
     `==` and `hash` walk the tree with explicit stacks, so they work at any
-    depth the loader builds.
+    depth the loader builds, and visit each node object (for `==`, each
+    pair of them) once, so a premise shared by several nodes costs one visit.
     """
 
     __slots__ = ("conclusion", "rule", "premises")
@@ -270,11 +271,16 @@ class Derivation(FrozenSlots):
     def __eq__(self, other):
         if not isinstance(other, Derivation):
             return NotImplemented
+        compared: set[tuple[int, int]] = set()
         stack = [(self, other)]
         while stack:
             a, b = stack.pop()
             if a is b:
                 continue
+            pair = (id(a), id(b))
+            if pair in compared:
+                continue
+            compared.add(pair)
             if a.rule != b.rule or len(a.premises) != len(b.premises) or a.conclusion != b.conclusion:
                 return False
             stack += zip(a.premises, b.premises)
@@ -282,17 +288,23 @@ class Derivation(FrozenSlots):
 
     def __hash__(self):
         # postorder: a node's hash combines its conclusion, its rule and
-        # its premises' hashes, which are the last ones on `done`
+        # its premises' hashes, which are the last ones on `done`; a node
+        # object met again reuses its hash, which depends only on the node
+        hashes: dict[int, int] = {}
         done: list[int] = []
         stack: list[tuple[Derivation, bool]] = [(self, False)]
         while stack:
             node, expanded = stack.pop()
             if not expanded:
+                h = hashes.get(id(node))
+                if h is not None:
+                    done.append(h)
+                    continue
                 stack.append((node, True))
                 stack += [(p, False) for p in reversed(node.premises)]
                 continue
             k = len(done) - len(node.premises)
-            h = hash((node.conclusion, node.rule, tuple(done[k:])))
+            h = hashes[id(node)] = hash((node.conclusion, node.rule, tuple(done[k:])))
             del done[k:]
             done.append(h)
         return done[0]
@@ -351,12 +363,13 @@ def _derivation_from_postorder(nodes) -> Derivation:
 
 def height(d: Derivation) -> int:
     """0 at axioms, otherwise one more than the tallest premise: the number
-    of levels below the root, walked one level at a time."""
+    of levels below the root, walked one level at a time, each node object
+    once per level."""
     levels = -1
     level = [d]
     while level:
         levels += 1
-        level = [p for node in level for p in node.premises]
+        level = list({id(p): p for node in level for p in node.premises}.values())
     return levels
 
 

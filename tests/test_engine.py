@@ -378,6 +378,37 @@ def test_insert_keeps_the_sequent_antecedent_order():
         assert eng._insert(ants, intern(x)) == want, ([str(f) for f in fs], str(x))
 
 
+def test_intern_goal_gives_the_ids_intern_gives():
+    # one engine interns each goal whole, the other formula by formula; the
+    # draws share formulas, so the first pass meets known and new ones, and
+    # the second, on the primed engine, only known ones
+    draws = _decide_draws(11, 500)
+    eng, ref = Engine(), Engine()
+    intern = ref._t.intern
+    want = [
+        (tuple(intern(f) for f in g.antecedent), -1 if g.succedent is None else intern(g.succedent))
+        for g in draws
+    ]
+    for _ in range(2):
+        assert [eng._intern_goal(g) for g in draws] == want
+    assert eng._t.by_text == ref._t.by_text and eng._t.truth == ref._t.truth
+
+
+def test_engine_state_is_slotted():
+    eng = Engine()
+    assert not hasattr(eng, "__dict__") and not hasattr(eng._t, "__dict__")
+    # a subclass made as the benchmark's traced engine still decides
+    calls = []
+
+    def traced(self, goal):
+        calls.append(goal)
+        return Engine.decide(self, goal)
+
+    goal = S("p -> q, q -> r |- p -> r")
+    res = type("T", (Engine,), {"decide": traced})().decide(goal)
+    assert calls == [goal] and res == Engine().decide(goal) and res.min_height == 3
+
+
 def test_determinism_across_fresh_engines():
     texts = ["|- ~A -> (A -> B)", "~A, A |- B", "p & q |- q & p", "|- ~~(p | ~p)"]
     runs = []

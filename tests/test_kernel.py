@@ -2,6 +2,7 @@ import ast
 import copy
 import pickle
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from coreseq import (
     Imp,
     Neg,
     RULE_NAMES,
+    Sequent,
     check_derivation,
     check_rule,
     derivation_from_json,
@@ -532,6 +534,50 @@ def test_deep_derivations_compare_and_hash_without_recursion():
         c = derivation_from_json(_limp_tower(depth, deepest))
         assert a != c and c != a and not a == c
         hash(c)
+
+
+def _shared_limp_chain(depth, leaf):
+    """`leaf`, then `depth` LImp steps, each with the node below as both its
+    minor and its major premise: 2**depth paths through depth + 1 objects.
+    Step k adds `p -> B` to the antecedent, B the formula step k - 1 added
+    (p at the first step)."""
+    d, b = leaf, Atom("p")
+    for _ in range(depth):
+        f = Imp(Atom("p"), b)
+        d = Derivation(Sequent((f,) + d.conclusion.antecedent, Atom("p")), "LImp", (d, d))
+        b = f
+    return d
+
+
+def _unshared(d):
+    """The same tree with a distinct object at every node."""
+    return Derivation(d.conclusion, d.rule, [_unshared(p) for p in d.premises])
+
+
+def test_shared_premises_are_walked_once():
+    # check_derivation still walks every path, so it is tried at depth 10 only
+    d = _shared_limp_chain(40, Derivation(S("p |- p"), "Ax"))
+    assert d.premises[0] is d.premises[1]
+    start = time.perf_counter()
+    assert d == copy.deepcopy(d) and hash(d) == hash(copy.deepcopy(d))
+    assert height(d) == 40
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("rule", ["Ax", "RNeg"])
+def test_shared_premises_give_the_unshared_results(rule):
+    # an RNeg leaf is the only violation, first met on the leftmost path
+    shared = _shared_limp_chain(10, Derivation(S("p |- p"), rule))
+    distinct = _unshared(shared)
+    assert distinct.premises[0] is not distinct.premises[1]
+    assert shared == distinct and distinct == shared and hash(shared) == hash(distinct)
+    assert height(shared) == height(distinct) == 10
+    for mode in ("tennant", "strict-table"):
+        assert check_derivation(shared, mode) == check_derivation(distinct, mode)
+    v = check_derivation(shared)
+    assert v is None if rule == "Ax" else v.path == (0,) * 10
+    other = _shared_limp_chain(10, Derivation(S("p |- p"), "RNeg" if rule == "Ax" else "Ax"))
+    assert shared != other and _unshared(other) != shared
 
 
 def test_derivation_value_semantics():
